@@ -71,8 +71,9 @@ pilot-smoke: ## autoscaling drill: a flash crowd must scale 3 nodes out to 5 and
 property: ## schedule invariants, repeated with a pinned quick.Check budget
 	$(GO) test ./internal/schedule -run 'TestProperty' -count=5 -quickchecks $(QUICKCHECKS)
 
-bench: ## cached-vs-uncached tuner, cold-vs-warm search, batch-submit amortization, tracing overhead, SLO evaluation
+bench: ## cold search, Pareto frontier, cold-vs-warm search, batch-submit amortization, tracing overhead, SLO evaluation
 	$(GO) test -run xxx -bench 'BenchmarkTune' -benchtime=3x .
+	$(GO) test -run xxx -bench 'BenchmarkParetoFrontier' ./internal/core
 	$(GO) test -run xxx -bench 'BenchmarkWarmStartTune' -benchtime=3x ./internal/core
 	$(GO) test -run xxx -bench 'BenchmarkBatchSubmit' -benchtime=2x ./internal/serve
 	$(GO) test -run xxx -bench 'BenchmarkTraceOverhead' ./internal/trace
@@ -81,6 +82,7 @@ bench: ## cached-vs-uncached tuner, cold-vs-warm search, batch-submit amortizati
 
 bench-json: ## run the bench set and record a machine-readable trajectory point at $(BENCH_OUT)
 	( $(GO) test -run xxx -bench 'BenchmarkTune' -benchtime=3x -benchmem . ; \
+	  $(GO) test -run xxx -bench 'BenchmarkParetoFrontier' -benchmem ./internal/core ; \
 	  $(GO) test -run xxx -bench 'BenchmarkWarmStartTune' -benchtime=3x -benchmem ./internal/core ; \
 	  $(GO) test -run xxx -bench 'BenchmarkBatchSubmit' -benchtime=2x -benchmem ./internal/serve ; \
 	  $(GO) test -run xxx -bench 'BenchmarkTraceOverhead' -benchmem ./internal/trace ; \
@@ -94,7 +96,7 @@ bench-regression: ## fresh bench run compared against the committed BENCH.json b
 
 bench-profile: ## CPU + heap profiles of the cold-search benchmark; inspect with `go tool pprof $(PROFILE_DIR)/bench.test $(PROFILE_DIR)/cpu.pprof`
 	@mkdir -p $(PROFILE_DIR)
-	$(GO) test -run xxx -bench 'BenchmarkTuneMemoizedCold' -benchtime=3x -benchmem \
+	$(GO) test -run xxx -bench 'BenchmarkTuneCold' -benchtime=3x -benchmem \
 		-cpuprofile $(PROFILE_DIR)/cpu.pprof -memprofile $(PROFILE_DIR)/mem.pprof \
 		-o $(PROFILE_DIR)/bench.test .
 

@@ -122,16 +122,16 @@ func BenchmarkSec66PredictionAccuracy(b *testing.B) {
 	runExperiment(b, "accuracy")
 }
 
-// benchWorkload is the cached-vs-uncached comparison workload: a deep
-// pipeline (8 GPUs) where middle stages with equal in-flight depth
-// enumerate canonically identical candidate grids.
+// benchWorkload is the cold-search workload: a deep pipeline (8 GPUs)
+// over the full Mist space.
 func benchWorkload() (Workload, *Cluster) {
 	return Workload{Model: Model("gpt3-2.7b"), Seq: 2048, Flash: true, GlobalBatch: 8}, L4Cluster(8)
 }
 
-// benchTuneCold runs a cold full-space search per iteration, optionally
-// with the evaluation memo cache disabled, and reports cache metrics.
-func benchTuneCold(b *testing.B, noCache bool) {
+// BenchmarkTuneCold measures the production search path: a fresh tuner
+// (analyzer calibration included) and one full Mist-space search per
+// iteration, every candidate priced by the symbolic analyzer.
+func BenchmarkTuneCold(b *testing.B) {
 	w, cl := benchWorkload()
 	var res *core.Result
 	b.ReportAllocs()
@@ -141,54 +141,10 @@ func benchTuneCold(b *testing.B, noCache bool) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		tn.NoCache = noCache
 		res, err = tn.Tune()
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ReportMetric(float64(res.Candidates), "candidates")
-	if !noCache {
-		b.ReportMetric(res.CacheHitRate(), "hit-rate")
-		b.ReportMetric(float64(res.EvalCacheMisses), "unique-evals")
-	}
-}
-
-// BenchmarkTuneMemoizedCold measures a full Mist-space search with the
-// evaluation cache on: canonically repeated (shape, knobs) points across
-// stages and (S, G) pairs are answered from the memo store, so the
-// analyzer prices only the unique-evals metric's worth of candidates
-// (the rest of the candidates metric is served as hits).
-func BenchmarkTuneMemoizedCold(b *testing.B) { benchTuneCold(b, false) }
-
-// BenchmarkTuneUncached is the same search with memoization disabled —
-// every candidate goes to the symbolic analyzer (the seed's behavior).
-// The chosen plans are identical either way (core's
-// TestCacheOnOffIdenticalPlans).
-func BenchmarkTuneUncached(b *testing.B) { benchTuneCold(b, true) }
-
-// BenchmarkTuneMemoizedWarm is the serving scenario (cmd/mistserve):
-// re-searching a workload whose evaluations are already memoized. Every
-// candidate is a cache hit, so this bounds the steady-state cost of
-// repeated tuning traffic; compare against BenchmarkTuneUncached for
-// the cached-vs-uncached speedup.
-func BenchmarkTuneMemoizedWarm(b *testing.B) {
-	w, cl := benchWorkload()
-	tn, err := core.New(w, cl, core.MistSpace())
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := tn.Tune(); err != nil { // warm the memo store
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	var res *core.Result
-	for i := 0; i < b.N; i++ {
-		res, err = tn.Tune()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(res.CacheHitRate(), "hit-rate")
 }

@@ -121,9 +121,8 @@ func main() {
 	}
 	fmt.Printf("\nbest plan:\n%s\n", res.Plan)
 	fmt.Printf("\npredicted iteration time: %.3fs (%.2f samples/s)\n", res.Predicted, res.PredThroughput)
-	fmt.Printf("tuning: %d candidates over %d (S,G) pairs in %s (eval cache: %.1f%% hits, %d unique points)\n",
-		res.Candidates, res.SGPairs, res.Elapsed.Round(1e6),
-		100*res.CacheHitRate(), res.EvalCacheMisses)
+	fmt.Printf("tuning: %d candidates over %d (S,G) pairs in %s (%d analyzer evaluations)\n",
+		res.Candidates, res.SGPairs, res.Elapsed.Round(1e6), res.EvalCacheMisses)
 
 	m, err := mist.Simulate(w, cl, res.Plan)
 	if err != nil {

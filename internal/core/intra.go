@@ -2,11 +2,10 @@ package core
 
 import (
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/evalcache"
 	"repro/internal/schedule"
 )
 
@@ -24,12 +23,12 @@ type candidate struct {
 	Mem   float64
 }
 
-// evalScratch is the per-pricing-goroutine buffer set: the cache/analyzer
+// evalScratch is the per-pricing-goroutine buffer set: the analyzer's
 // scratch plus a reusable result slice. Pooled because intraStage's inner
 // fan-out borrows transient goroutines.
 type evalScratch struct {
-	cs  evalcache.Scratch
-	dst []schedule.Result
+	eval schedule.EvalScratch
+	dst  []schedule.Result
 }
 
 var evalScratchPool = sync.Pool{New: func() any { return new(evalScratch) }}
@@ -43,7 +42,7 @@ type sweepScratch struct {
 	shapes []schedule.StageShape
 	outs   []shapeOut
 	arena  []candidate
-	sorted []candidate
+	keys   []paretoKey
 	front  []candidate
 }
 
@@ -74,11 +73,10 @@ const planSafetyFraction = 0.96
 // until the next intraStage call on the same scratch; the evaluated
 // count is exact — it tallies precisely the candidates the evaluator
 // priced, including shapes whose batches completed after another shape
-// failed, so it reconciles with the cache's hit/miss counters.
+// failed, so it reconciles with the tuner's evaluation counter.
 func (t *Tuner) intraStage(s, g, stageIdx, devPerStage, layers int, sc *sweepScratch) ([]candidate, int, error) {
 	budget := t.Cluster.MemoryBudget() * planSafetyFraction
-	set := t.knobSet(layers)
-	knobs := set.Knobs()
+	knobs := t.knobSet(layers)
 
 	// Enumerate the stage shapes, then price them on a bounded worker
 	// pool (the intra-stage counterpart of Tune's (S, G) fan-out). The
@@ -115,7 +113,7 @@ func (t *Tuner) intraStage(s, g, stageIdx, devPerStage, layers int, sc *sweepScr
 
 	price := func(i int, es *evalScratch) {
 		shape := shapes[i]
-		results, err := t.priceBatch(shape, set, es)
+		results, err := t.priceBatch(shape, knobs, es)
 		if err != nil {
 			outs[i].err = err
 			return
@@ -176,8 +174,8 @@ spawn:
 	wg.Wait()
 
 	// Tally the exact evaluator traffic before surfacing any error:
-	// out-of-order workers may have priced (and counted in the cache)
-	// shapes beyond the first failure.
+	// out-of-order workers may have priced (and counted) shapes beyond
+	// the first failure.
 	evaluated := 0
 	var firstErr error
 	for i := range outs {
@@ -200,27 +198,25 @@ spawn:
 	return out, evaluated, nil
 }
 
-// priceBatch prices one shape's knob set through the configured backend:
-// the interned-set fast path when the memo cache is active, the
-// analyzer's buffer-reusing batch when caching is off, or the generic
-// Evaluator interface when a test override is installed.
-func (t *Tuner) priceBatch(shape schedule.StageShape, set *evalcache.KnobSet, es *evalScratch) ([]schedule.Result, error) {
-	switch {
-	case t.evOverride != nil:
-		return t.evOverride.EvaluateBatch(shape, set.Knobs())
-	case t.NoCache || t.cache == nil:
-		results, err := t.An.EvaluateBatchInto(es.dst, shape, set.Knobs(), &es.cs.Eval)
+// priceBatch prices one shape's knob batch through the analyzer's
+// buffer-reusing batch (or the test override), counting the points into
+// the tuner's evaluation counter when the batch succeeds. The returned
+// slice is backed by es and valid until its next use.
+func (t *Tuner) priceBatch(shape schedule.StageShape, knobs []schedule.Knobs, es *evalScratch) ([]schedule.Result, error) {
+	var results []schedule.Result
+	var err error
+	if t.evOverride != nil {
+		results, err = t.evOverride.EvaluateBatch(shape, knobs)
+	} else {
+		results, err = t.An.EvaluateBatchInto(es.dst, shape, knobs, &es.eval)
 		if err == nil {
 			es.dst = results[:0]
 		}
-		return results, err
-	default:
-		results, err := t.cache.EvaluateSet(shape, set, es.dst, &es.cs)
-		if err == nil {
-			es.dst = results[:0]
-		}
-		return results, err
 	}
+	if err == nil {
+		t.evals.Add(uint64(len(results)))
+	}
+	return results, err
 }
 
 // parallelism is one feasible (tp, dp, b) split of a stage's devices.
@@ -291,27 +287,46 @@ func paretoSample(cands []candidate, g, k int, sc *sweepScratch) []candidate {
 	return out
 }
 
-// paretoFrontier keeps the non-dominated candidates: c dominates c' when
-// c.T <= c'.T and c.D <= c'.D with at least one strict. The returned
-// slice is backed by sc and valid until its next use.
-func paretoFrontier(cands []candidate, sc *sweepScratch) []candidate {
-	if cap(sc.sorted) < len(cands) {
-		sc.sorted = make([]candidate, 0, len(cands))
+// paretoKey is the sort key of one candidate: its (T, D) objectives and
+// its enumeration index, which breaks exact ties deterministically.
+type paretoKey struct {
+	t, d float64
+	idx  int
+}
+
+func comparePareto(a, b paretoKey) int {
+	switch {
+	case a.t < b.t:
+		return -1
+	case a.t > b.t:
+		return 1
+	case a.d < b.d:
+		return -1
+	case a.d > b.d:
+		return 1
 	}
-	sorted := append(sc.sorted[:0], cands...)
-	sc.sorted = sorted
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].T != sorted[j].T {
-			return sorted[i].T < sorted[j].T
-		}
-		return sorted[i].D < sorted[j].D
-	})
+	return a.idx - b.idx
+}
+
+// paretoFrontier keeps the non-dominated candidates: c dominates c' when
+// c.T <= c'.T and c.D <= c'.D with at least one strict. Of exact
+// duplicates in (T, D) it keeps the lowest-index one. The frontier comes
+// out in ascending T (and so descending D). It sorts small keys rather
+// than the candidates themselves and copies out only the frontier. The
+// returned slice is backed by sc and valid until its next use.
+func paretoFrontier(cands []candidate, sc *sweepScratch) []candidate {
+	keys := sc.keys[:0]
+	for i := range cands {
+		keys = append(keys, paretoKey{t: cands[i].T, d: cands[i].D, idx: i})
+	}
+	sc.keys = keys
+	slices.SortFunc(keys, comparePareto)
 	front := sc.front[:0]
 	bestD := 0.0
-	for _, c := range sorted {
-		if len(front) == 0 || c.D < bestD {
-			front = append(front, c)
-			bestD = c.D
+	for _, k := range keys {
+		if len(front) == 0 || k.d < bestD {
+			front = append(front, cands[k.idx])
+			bestD = k.d
 		}
 	}
 	sc.front = front

@@ -12,7 +12,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/evalcache"
 	"repro/internal/hardware"
 	"repro/internal/interference"
 	"repro/internal/opdb"
@@ -47,10 +46,6 @@ type Tuner struct {
 	// enumeration (used for cross-checks).
 	Exhaustive bool
 
-	// NoCache disables evaluation memoization (benchmarking the
-	// uncached path; plans are identical either way).
-	NoCache bool
-
 	// Warm optionally seeds the search with a neighbor plan (see
 	// warm.go): the seed is priced into an incumbent bound that prunes
 	// provably dominated regions, its candidates are injected into the
@@ -61,20 +56,20 @@ type Tuner struct {
 	// in the result. Invalid or unadaptable seeds are ignored.
 	Warm *plan.Plan
 
-	// cache memoizes analyzer evaluations across stages, layer counts
-	// and (S, G) pairs of this tuner. Built by New/NewWithAnalyzer; a
-	// zero-value Tuner falls back to the bare analyzer.
-	cache *evalcache.Cache
+	// evOverride, when set, replaces the analyzer as the pricing
+	// backend (tests use it to inject evaluator failures and count
+	// attempts).
+	evOverride pricer
 
-	// evOverride, when set, replaces the pricing backend entirely
-	// (tests use it to inject evaluator failures and count attempts).
-	evOverride evalcache.Evaluator
+	// evals counts successful analyzer pricings (points, not calls);
+	// TuneContext reports its per-search delta as EvalCacheMisses.
+	evals atomic.Uint64
 
-	// knobSets memoizes the interned knob batch per layer count: the
-	// batch depends only on (Space, layers), so it is built once and
-	// shared by every (S, G) worker and every search on this tuner.
+	// knobSets memoizes the knob batch per layer count: the batch
+	// depends only on (Space, layers), so it is built once and shared by
+	// every (S, G) worker and every search on this tuner.
 	knobMu   sync.Mutex
-	knobSets map[int]*evalcache.KnobSet
+	knobSets map[int][]schedule.Knobs
 
 	// Per-Tune search state: the priced warm seed, the global incumbent
 	// bound (float64 bits; +Inf when no solution is known yet), and
@@ -99,24 +94,33 @@ type Tuner struct {
 	tuneCtx context.Context
 }
 
-// evaluator returns the pricing backend for this search: the memoizing
-// cache when available, the bare analyzer otherwise.
-func (t *Tuner) evaluator() evalcache.Evaluator {
-	if t.evOverride != nil {
-		return t.evOverride
-	}
-	if t.NoCache || t.cache == nil {
-		return t.An
-	}
-	return t.cache
+// pricer is the pricing interface a test can substitute for the
+// analyzer; *schedule.Analyzer satisfies it.
+type pricer interface {
+	Evaluate(schedule.StageShape, schedule.Knobs) (schedule.Result, error)
+	EvaluateBatch(schedule.StageShape, []schedule.Knobs) ([]schedule.Result, error)
 }
 
-// knobSet returns the interned knob batch for one layer count, building
-// it on first use: the checkpoint grid is quantized to the layer count
-// and crossed with the space's offload-ratio grids (identical to the
+// evaluate prices one point through the analyzer (or the test
+// override), counting it into evals when it succeeds.
+func (t *Tuner) evaluate(shape schedule.StageShape, k schedule.Knobs) (schedule.Result, error) {
+	var ev pricer = t.An
+	if t.evOverride != nil {
+		ev = t.evOverride
+	}
+	r, err := ev.Evaluate(shape, k)
+	if err == nil {
+		t.evals.Add(1)
+	}
+	return r, err
+}
+
+// knobSet returns the knob batch for one layer count, building it on
+// first use: the checkpoint grid is quantized to the layer count and
+// crossed with the space's offload-ratio grids (identical to the
 // enumeration the intra-stage sweep always used, hoisted out of the
-// per-(stage, layer) hot path).
-func (t *Tuner) knobSet(layers int) *evalcache.KnobSet {
+// per-(stage, layer) hot path). Callers must not mutate it.
+func (t *Tuner) knobSet(layers int) []schedule.Knobs {
 	t.knobMu.Lock()
 	defer t.knobMu.Unlock()
 	if ks, ok := t.knobSets[layers]; ok {
@@ -170,12 +174,11 @@ func (t *Tuner) knobSet(layers int) *evalcache.KnobSet {
 			}
 		}
 	}
-	ks := evalcache.NewKnobSet(knobs)
 	if t.knobSets == nil {
-		t.knobSets = map[int]*evalcache.KnobSet{}
+		t.knobSets = map[int][]schedule.Knobs{}
 	}
-	t.knobSets[layers] = ks
-	return ks
+	t.knobSets[layers] = knobs
+	return knobs
 }
 
 // bound returns the current incumbent objective: the best complete
@@ -222,13 +225,13 @@ type Result struct {
 	SGPairs        int     // (pipeline depth, grad accum) pairs explored
 	Elapsed        time.Duration
 
-	// Evaluation-cache traffic during this search: hits are candidate
-	// pricings answered from the memo store, misses went to the symbolic
-	// analyzer. On an error-free search with the cache enabled,
-	// Hits + Misses == Candidates exactly: every attempt lands in
-	// Candidates and every successful pricing in exactly one counter.
-	// Evaluator errors leave the failed attempt in Candidates but in
-	// neither cache counter, so Candidates >= Hits + Misses always.
+	// Pricing traffic during this search, kept under the names of the
+	// evaluation cache that once fronted the analyzer: there is no memo
+	// layer, so EvalCacheHits is always 0 and EvalCacheMisses counts the
+	// successful analyzer evaluations. On an error-free search
+	// Hits + Misses == Candidates exactly. Evaluator errors leave the
+	// failed attempt in Candidates but not in Misses, so
+	// Candidates >= Hits + Misses always.
 	EvalCacheHits   uint64
 	EvalCacheMisses uint64
 
@@ -246,8 +249,8 @@ type Result struct {
 	WarmAbortedPairs  int
 }
 
-// CacheHitRate returns the fraction of candidate evaluations served from
-// the memo store (0 when caching was disabled).
+// CacheHitRate returns EvalCacheHits / (EvalCacheHits + EvalCacheMisses),
+// which is 0 for every search now that no memo layer answers pricings.
 func (r *Result) CacheHitRate() float64 {
 	if t := r.EvalCacheHits + r.EvalCacheMisses; t > 0 {
 		return float64(r.EvalCacheHits) / float64(t)
@@ -259,8 +262,8 @@ func (r *Result) CacheHitRate() float64 {
 // database from the GPU model, interference factors fitted to the
 // platform's contention simulator with a fixed seed, Serialize matching
 // the space. Factored out so the serving layer can calibrate once per
-// workload fingerprint and share the analyzer (and its evaluation
-// cache) across requests via NewShared.
+// workload fingerprint and share the analyzer across requests via
+// NewShared.
 func CalibratedAnalyzer(w plan.Workload, cl *hardware.Cluster, space Space) (*schedule.Analyzer, error) {
 	if err := w.Validate(); err != nil {
 		return nil, err
@@ -286,19 +289,16 @@ func New(w plan.Workload, cl *hardware.Cluster, space Space) (*Tuner, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Tuner{W: w, Cluster: cl, An: an, Space: space, cache: evalcache.New(an)}, nil
+	return &Tuner{W: w, Cluster: cl, An: an, Space: space}, nil
 }
 
-// NewShared builds a tuner over a shared calibrated analyzer and a
-// shared, process-lifetime evaluation cache (both typically owned by the
-// serving layer's per-fingerprint registry, so one request's pricings
-// answer the next request's search). Unlike NewWithAnalyzer it never
-// mutates the analyzer — it may be serving concurrent searches — and
-// instead rejects a Serialize flag that contradicts the space, and it
-// rejects a cache built over a different evaluator (its memoized results
-// would be answers to different questions). A nil cache gets a fresh
-// private one.
-func NewShared(w plan.Workload, cl *hardware.Cluster, an *schedule.Analyzer, space Space, cache *evalcache.Cache) (*Tuner, error) {
+// NewShared builds a tuner over a shared calibrated analyzer (typically
+// owned by the serving layer's per-fingerprint registry, so requests
+// skip the interference fit and reuse its compiled programs). Unlike
+// NewWithAnalyzer it never mutates the analyzer — it may be serving
+// concurrent searches — and instead rejects a Serialize flag that
+// contradicts the space.
+func NewShared(w plan.Workload, cl *hardware.Cluster, an *schedule.Analyzer, space Space) (*Tuner, error) {
 	if err := w.Validate(); err != nil {
 		return nil, err
 	}
@@ -309,21 +309,14 @@ func NewShared(w plan.Workload, cl *hardware.Cluster, an *schedule.Analyzer, spa
 		return nil, fmt.Errorf("core: shared analyzer Serialize=%v contradicts space %q (overlap-aware=%v)",
 			an.Serialize, space.Name, space.OverlapAware)
 	}
-	if cache == nil {
-		cache = evalcache.New(an)
-	} else if cache.Backend() != evalcache.Evaluator(an) {
-		return nil, fmt.Errorf("core: shared eval cache was built over a different analyzer")
-	}
-	return &Tuner{W: w, Cluster: cl, An: an, Space: space, cache: cache}, nil
+	return &Tuner{W: w, Cluster: cl, An: an, Space: space}, nil
 }
 
 // NewWithAnalyzer builds a tuner reusing an existing analyzer (the
 // analyzer's Serialize flag is overridden to match the space).
 func NewWithAnalyzer(w plan.Workload, cl *hardware.Cluster, an *schedule.Analyzer, space Space) *Tuner {
 	an.Serialize = !space.OverlapAware
-	// The memo store keys on (shape, knobs) only, so it must be private
-	// to this (analyzer, Serialize) pairing — never shared across tuners.
-	return &Tuner{W: w, Cluster: cl, An: an, Space: space, cache: evalcache.New(an)}
+	return &Tuner{W: w, Cluster: cl, An: an, Space: space}
 }
 
 // ErrNoFeasiblePlan is returned when every configuration in the space
@@ -344,10 +337,7 @@ func (t *Tuner) Tune() (*Result, error) {
 func (t *Tuner) TuneContext(ctx context.Context) (*Result, error) {
 	start := time.Now()
 	res := &Result{}
-	var cacheBefore evalcache.Stats
-	if t.cache != nil {
-		cacheBefore = t.cache.Stats()
-	}
+	evalsBefore := t.evals.Load()
 
 	// Warm-start setup (see warm.go): price the seed, arm the incumbent
 	// bound, reset telemetry. All writes happen before workers spawn.
@@ -465,11 +455,7 @@ func (t *Tuner) TuneContext(ctx context.Context) (*Result, error) {
 	}
 	res.WarmPruned = int(t.warmPruned.Load())
 	res.WarmAbortedPairs = int(t.warmAborted.Load())
-	if t.cache != nil && !t.NoCache {
-		after := t.cache.Stats()
-		res.EvalCacheHits = after.Hits - cacheBefore.Hits
-		res.EvalCacheMisses = after.Misses - cacheBefore.Misses
-	}
+	res.EvalCacheMisses = t.evals.Load() - evalsBefore
 	swsp.Annotate("pairs", res.SGPairs)
 	swsp.Annotate("candidates", res.Candidates)
 	swsp.Annotate("evalCacheHits", res.EvalCacheHits)
@@ -675,7 +661,7 @@ func (t *Tuner) tuneUniform(s, g, devPer int) (*interSolution, int, error) {
 			shape.HasPre = i == 0
 			shape.HasPost = i == s-1
 			shape.StageIdx = i
-			r, err := t.evaluator().Evaluate(shape, c0.Knobs)
+			r, err := t.evaluate(shape, c0.Knobs)
 			evaluated++ // the attempt was made whether or not it priced
 			if err != nil {
 				feasible = false
@@ -766,7 +752,7 @@ func (t *Tuner) PredictPlan(p *plan.Plan) (float64, error) {
 	maxT, sumT := 0.0, 0.0
 	dm, prefix := 0.0, 0.0
 	for _, st := range p.Stages {
-		r, err := t.evaluator().Evaluate(st.Shape, st.Knobs)
+		r, err := t.evaluate(st.Shape, st.Knobs)
 		if err != nil {
 			return 0, err
 		}

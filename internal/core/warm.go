@@ -49,8 +49,8 @@ type warmSeed struct {
 // prepareWarm validates, adapts and prices t.Warm under the current
 // analyzer, also reporting how many evaluator calls it made — the
 // caller folds them into Result.Candidates even when the seed is
-// rejected partway, so the candidate count reconciles with the eval
-// cache's hit/miss counters. It returns a nil seed (cold search) when
+// rejected partway, so the candidate count reconciles with the
+// evaluation counter. It returns a nil seed (cold search) when
 // the plan cannot be made feasible for this workload/cluster: warm
 // starting is best-effort.
 func (t *Tuner) prepareWarm() (*warmSeed, int) {
@@ -68,7 +68,7 @@ func (t *Tuner) prepareWarm() (*warmSeed, int) {
 	stages := make([]candidate, len(p.Stages))
 	evaluated := 0
 	for i, st := range p.Stages {
-		r, err := t.evaluator().Evaluate(st.Shape, st.Knobs)
+		r, err := t.evaluate(st.Shape, st.Knobs)
 		evaluated++
 		if err != nil || !r.Fits(budget) {
 			return nil, evaluated

@@ -1,10 +1,19 @@
 // Package evalcache memoizes schedule.Analyzer evaluations behind a
-// concurrency-safe, sharded store. The hierarchical tuner prices the
-// same (shape, knobs) point many times — middle pipeline stages with
-// equal in-flight depth enumerate identical candidate grids, the uniform
-// heuristic replicates one configuration across every stage, and
-// heterogeneous device search re-sweeps the same meshes per stage — so a
-// shared cache converts that repetition into lookups.
+// concurrency-safe, sharded store.
+//
+// It is no longer on any search path: the tuner and the serving layer
+// price every candidate straight through the analyzer, which is faster
+// than a lookup-and-store at the hit rates searches reach. The package
+// is kept only because the mistperf benchmark's per-layer timings call
+// evalcache.New(...).EvaluateBatch; delete it together with the
+// benchmark's evalcache.* per-layer rows.
+//
+// A search prices some (shape, knobs) points more than once — middle
+// pipeline stages with equal in-flight depth enumerate identical
+// candidate grids, the uniform heuristic replicates one configuration
+// across every stage, and heterogeneous device search re-sweeps the
+// same meshes per stage — and the cache converts that repetition into
+// lookups.
 //
 // Keys are *canonical*: two shapes that provably evaluate identically
 // map to the same entry. The analyzer's result depends on the raw

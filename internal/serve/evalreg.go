@@ -7,52 +7,34 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
-	"repro/internal/evalcache"
 	"repro/internal/hardware"
 	"repro/internal/plan"
 	"repro/internal/schedule"
 )
 
-// This file is the cross-request evaluation-cache registry. A single
-// tuner run prices hundreds of thousands of (stage shape, knobs) points;
-// those pricings depend only on the analyzer configuration, not on the
-// request, so a fresh cache per search throws the work away. The
-// registry keeps one calibrated analyzer plus one evalcache.Cache per
-// analyzer-config fingerprint for the life of the process: a re-search
-// of a known fingerprint (after plan-cache eviction, or for a different
-// global batch over the same model/platform) starts ~fully warm.
+// This file is the cross-request analyzer registry. Calibrating an
+// analyzer (operator database plus the interference fit) costs real
+// milliseconds, and an analyzer's compiled stage programs warm up over
+// its first searches; neither depends on the request, only on the
+// analyzer configuration. The registry keeps one calibrated analyzer
+// per analyzer-config fingerprint, shared by every search and /simulate
+// of that fingerprint, so a re-search (after plan-cache eviction, or for
+// a different global batch over the same model/platform) skips the fit
+// and starts with warm programs.
 //
-// The registry is bounded by total cached points, not entries: one
-// fingerprint's cache is a few hundred thousand points while another's
-// is a few thousand, so entry-count capacity would be meaningless. When
-// the total exceeds the cap, least-recently-used entries are dropped
-// whole (their analyzer too); a dropped fingerprint simply re-prices on
-// its next search, exactly like the first request of a process. Every
-// entry is also charged a fixed overhead on top of its points — the
-// fingerprint space is user-controlled (Seq, GPUs), so simulate-only
-// entries that calibrate an analyzer but memoize ~0 points must still
-// accumulate toward the cap and age out, or diverse /simulate traffic
-// would grow the registry without bound. The cap is therefore enforced
-// on the analyzer-only path too, not just after searches.
+// The fingerprint space is user-controlled (Seq, GPUs), so the registry
+// is bounded by entry count: past maxAnalyzers entries the
+// least-recently-used fingerprint is dropped, on the /simulate path as
+// well as after searches. A dropped fingerprint simply recalibrates on
+// its next request, exactly like the first request of a process.
 
-// defaultEvalCachePoints bounds the registry's total memoized points
-// when the operator does not set one. A point is a packed uint64 key
-// plus a schedule.Result (~100 B with map overhead), so the default caps
-// the registry around 400 MB — roughly twenty fully-swept fingerprints.
-const defaultEvalCachePoints = 4 << 20
-
-// entryOverheadPoints is the point-equivalent fixed cost charged to each
-// registry entry: the calibrated analyzer, its interference fit, and its
-// internal compiled-program cache are real memory even when the entry
-// has memoized no points. Charging it makes point-light entries
-// evictable by the same LRU sweep and bounds the entry count at
-// capPoints/entryOverheadPoints (1024 entries at the default cap).
-const entryOverheadPoints = 4096
+// maxAnalyzers bounds the registry's entries.
+const maxAnalyzers = 1024
 
 // evalKey is the analyzer-config fingerprint: everything the analyzer's
 // answers depend on, and nothing more. The global batch is deliberately
 // absent — shapes carry their own microbatch size — so workloads that
-// differ only in batch share one cache. The search space collapses to
+// differ only in batch share one analyzer. The search space collapses to
 // its Serialize flag for the same reason: spaces restrict which points
 // the tuner asks about, not what any point costs.
 func evalKey(ws WorkloadSpec, space core.Space) string {
@@ -61,154 +43,94 @@ func evalKey(ws WorkloadSpec, space core.Space) string {
 		ws.GPUs, ws.Seq, !ws.NoFlash, !space.OverlapAware)
 }
 
-// evalEntry is one registry slot. ready closes when calibration
+// analyzerEntry is one registry slot. ready closes when calibration
 // finishes, so concurrent first requests for a fingerprint build the
 // analyzer once and everyone else waits (calibration is milliseconds,
 // bounded by the interference fit).
-type evalEntry struct {
+type analyzerEntry struct {
 	ready    chan struct{}
 	an       *schedule.Analyzer
-	cache    *evalcache.Cache
 	err      error
 	lastUsed atomic.Int64 // registry sequence number, not wall time
 }
 
-type evalRegistry struct {
-	capPoints int
+type analyzerRegistry struct {
+	capEntries int
 
 	mu      sync.Mutex
-	entries map[string]*evalEntry
+	entries map[string]*analyzerEntry
 
 	seq       atomic.Int64
-	evictions atomic.Uint64 // whole caches dropped by the cap
-	retired   atomic.Uint64 // points those caches held when dropped
+	evictions atomic.Uint64 // entries dropped by the bound
 }
 
-func newEvalRegistry(capPoints int) *evalRegistry {
-	if capPoints < 1 {
-		capPoints = defaultEvalCachePoints
-	}
-	return &evalRegistry{capPoints: capPoints, entries: map[string]*evalEntry{}}
+func newAnalyzerRegistry(capEntries int) *analyzerRegistry {
+	return &analyzerRegistry{capEntries: capEntries, entries: map[string]*analyzerEntry{}}
 }
 
-// acquire returns the shared analyzer and cache for a normalized spec,
-// calibrating them on first use. reused reports whether the entry
-// predates this call (the search will start warm).
-func (r *evalRegistry) acquire(ws WorkloadSpec, w plan.Workload, cl *hardware.Cluster, space core.Space) (an *schedule.Analyzer, cache *evalcache.Cache, reused bool, err error) {
+// acquire returns the shared analyzer for a normalized spec, calibrating
+// it on first use, and then enforces the entry bound. reused reports
+// whether the entry predates this call.
+func (r *analyzerRegistry) acquire(ws WorkloadSpec, w plan.Workload, cl *hardware.Cluster, space core.Space) (an *schedule.Analyzer, reused bool, err error) {
 	key := evalKey(ws, space)
 	r.mu.Lock()
 	e, ok := r.entries[key]
 	if !ok {
-		e = &evalEntry{ready: make(chan struct{})}
+		e = &analyzerEntry{ready: make(chan struct{})}
+		e.lastUsed.Store(r.seq.Add(1))
 		r.entries[key] = e
+		r.evictLocked(key)
 		r.mu.Unlock()
-		an, err := core.CalibratedAnalyzer(w, cl, space)
-		if err != nil {
+		e.an, e.err = core.CalibratedAnalyzer(w, cl, space)
+		close(e.ready)
+		if e.err != nil {
 			// Failed builds are not cached: drop the slot so a later
 			// (possibly corrected) request retries.
-			e.err = err
-			close(e.ready)
 			r.mu.Lock()
-			delete(r.entries, key)
+			if r.entries[key] == e {
+				delete(r.entries, key)
+			}
 			r.mu.Unlock()
-			return nil, nil, false, err
+			return nil, false, e.err
 		}
-		e.an, e.cache = an, evalcache.New(an)
-		close(e.ready)
-		e.lastUsed.Store(r.seq.Add(1))
-		return e.an, e.cache, false, nil
+		return e.an, false, nil
 	}
 	r.mu.Unlock()
 	<-e.ready
 	if e.err != nil {
-		return nil, nil, false, e.err
+		return nil, false, e.err
 	}
 	e.lastUsed.Store(r.seq.Add(1))
-	return e.an, e.cache, true, nil
+	return e.an, true, nil
 }
 
-// analyzer returns the calibrated analyzer for a spec (shared with any
-// searches of the same fingerprint), for callers that only need pricing,
-// not a tuner — /simulate's measurement path. It enforces the cap like
-// the search path does: fingerprints are user-controlled, so
-// analyzer-only traffic must not grow the registry without bound.
-func (r *evalRegistry) analyzer(ws WorkloadSpec, w plan.Workload, cl *hardware.Cluster, space core.Space) (*schedule.Analyzer, error) {
-	an, _, _, err := r.acquire(ws, w, cl, space)
-	if err != nil {
-		return nil, err
-	}
-	r.enforceCap(evalKey(ws, space))
-	return an, nil
-}
-
-// enforceCap drops least-recently-used entries until the total charge —
-// cached points plus a fixed per-entry overhead — fits the cap. keep
-// names the entry the caller just used; it is never evicted, so a
-// single over-budget fingerprint keeps its (still useful) cache rather
-// than thrashing on every request.
-func (r *evalRegistry) enforceCap(keep string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	type sized struct {
-		key string
-		e   *evalEntry
-		n   int // charged size: points + per-entry overhead
-		pts int // actual memoized points (the retired gauge counts these)
-	}
-	total := 0
-	var all []sized
-	for k, e := range r.entries {
-		select {
-		case <-e.ready:
-		default:
-			continue // still calibrating: empty, nothing to count
-		}
-		if e.err != nil {
-			continue
-		}
-		pts := e.cache.Len()
-		n := entryOverheadPoints + pts
-		total += n
-		all = append(all, sized{key: k, e: e, n: n, pts: pts})
-	}
-	for total > r.capPoints {
-		victim := -1
-		for i := range all {
-			if all[i].key == keep {
+// evictLocked drops least-recently-used entries until the registry fits
+// its bound. keep names the entry the caller just inserted; it is never
+// the victim. Entries still calibrating are evictable: their waiters
+// already hold the entry and still get its analyzer.
+func (r *analyzerRegistry) evictLocked(keep string) {
+	for len(r.entries) > r.capEntries {
+		victim, oldest := "", int64(0)
+		for k, e := range r.entries {
+			if k == keep {
 				continue
 			}
-			if victim < 0 || all[i].e.lastUsed.Load() < all[victim].e.lastUsed.Load() {
-				victim = i
+			if lu := e.lastUsed.Load(); victim == "" || lu < oldest {
+				victim, oldest = k, lu
 			}
 		}
-		if victim < 0 {
+		if victim == "" {
 			return // only the protected entry remains
 		}
-		delete(r.entries, all[victim].key)
+		delete(r.entries, victim)
 		r.evictions.Add(1)
-		r.retired.Add(uint64(all[victim].pts))
-		total -= all[victim].n
-		all[victim] = all[len(all)-1]
-		all = all[:len(all)-1]
 	}
 }
 
-// snapshot reports the registry gauges: live entries, total cached
-// points across them, and the cumulative eviction counters.
-func (r *evalRegistry) snapshot() (entries, points int, evictions, retired uint64) {
+// snapshot reports the registry gauges: live entries (including any
+// still calibrating) and the cumulative eviction count.
+func (r *analyzerRegistry) snapshot() (entries int, evictions uint64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for _, e := range r.entries {
-		select {
-		case <-e.ready:
-		default:
-			continue
-		}
-		if e.err != nil {
-			continue
-		}
-		entries++
-		points += e.cache.Len()
-	}
-	return entries, points, r.evictions.Load(), r.retired.Load()
+	return len(r.entries), r.evictions.Load()
 }

@@ -1,164 +1,106 @@
 package serve
 
 import (
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 )
 
-// TestEvalCachePersistsAcrossRequests pins the cross-request fast path:
-// with a plan cache too small to remember earlier specs (and no durable
-// store), a re-tune must run a fresh search — but against the
-// fingerprint's persistent evaluation cache, so nearly every candidate
-// pricing is a hit.
-func TestEvalCachePersistsAcrossRequests(t *testing.T) {
-	s := New(WithCacheCap(1))
-	defer s.Close()
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	specA := smallSpec()
-	specB := smallSpec()
-	specB.Batch = 16 // different plan-cache key, same analyzer fingerprint
-
-	var first TuneResponse
-	if status, body := postJSON(t, ts.URL+"/tune", TuneRequest{WorkloadSpec: specA}, &first); status != http.StatusOK {
-		t.Fatalf("tune A: status %d body %s", status, body)
+// TestAnalyzerRegistryEvictsColdest pins the LRU entry bound: with room
+// for two fingerprints, a third evicts the least recently used one, a
+// surviving entry is reused rather than recalibrated, and an evicted one
+// is rebuilt on its next request.
+func TestAnalyzerRegistryEvictsColdest(t *testing.T) {
+	r := newAnalyzerRegistry(2)
+	acquire := func(seq int) bool {
+		t.Helper()
+		ws := smallSpec()
+		ws.Seq = seq // distinct analyzer fingerprint per sequence length
+		w, cl, space, err := ws.normalize()
+		if err != nil {
+			t.Fatalf("normalize seq=%d: %v", seq, err)
+		}
+		_, reused, err := r.acquire(ws, w, cl, space)
+		if err != nil {
+			t.Fatalf("acquire seq=%d: %v", seq, err)
+		}
+		return reused
 	}
-	if first.EvalCacheMiss == 0 {
-		t.Fatal("first search reported no eval-cache misses; the test premise is broken")
+	const a, b, c = 512, 1024, 4096
+	if acquire(a) || acquire(b) {
+		t.Fatal("first acquisitions reported reuse")
 	}
-	// Tuning B evicts A's plan-cache entry (cap 1).
-	if status, body := postJSON(t, ts.URL+"/tune", TuneRequest{WorkloadSpec: specB}, nil); status != http.StatusOK {
-		t.Fatalf("tune B: status %d body %s", status, body)
+	if !acquire(a) {
+		t.Fatal("second acquisition of A recalibrated")
 	}
-
-	var again TuneResponse
-	if status, body := postJSON(t, ts.URL+"/tune", TuneRequest{WorkloadSpec: specA}, &again); status != http.StatusOK {
-		t.Fatalf("re-tune A: status %d body %s", status, body)
+	acquire(c) // B is now the coldest entry
+	if entries, evictions := r.snapshot(); entries != 2 || evictions != 1 {
+		t.Fatalf("after C: %d entries / %d evictions, want 2 / 1", entries, evictions)
 	}
-	if again.Cached {
-		t.Fatal("re-tune served from the plan cache; it was supposed to be evicted")
+	if !acquire(a) {
+		t.Error("A was evicted although B was colder")
 	}
-	if again.EvalHitRate < 0.95 {
-		t.Errorf("re-search hit rate %.3f, want ~1.0 (hits %d, misses %d)",
-			again.EvalHitRate, again.EvalCacheHits, again.EvalCacheMiss)
+	if acquire(b) {
+		t.Error("B survived although it was the coldest entry")
 	}
-
-	st := s.Stats()
-	if st.TunesRun != 3 {
-		t.Errorf("ran %d searches, want 3", st.TunesRun)
+	// Re-admitting B evicted C, the coldest of {A, C}.
+	if !acquire(a) {
+		t.Error("A was evicted on B's return")
 	}
-	// A and B differ only in batch, which the fingerprint excludes:
-	// one shared registry entry, never evicted at the default cap.
-	if st.EvalCacheEntries != 1 || st.EvalCachePoints == 0 {
-		t.Errorf("registry holds %d entries / %d points, want 1 entry with points",
-			st.EvalCacheEntries, st.EvalCachePoints)
-	}
-	if st.EvalCacheEvictions != 0 {
-		t.Errorf("%d evictions at the default cap", st.EvalCacheEvictions)
-	}
-	if st.EvalCachePointCap != defaultEvalCachePoints {
-		t.Errorf("point cap %d, want default %d", st.EvalCachePointCap, defaultEvalCachePoints)
-	}
-}
-
-// TestEvalCacheCapEvictsColdFingerprint pins the bound: a 1-point budget
-// forces every fingerprint change to retire the previous cache, so a
-// re-tune of the first spec re-prices from scratch and the eviction
-// counters advance.
-func TestEvalCacheCapEvictsColdFingerprint(t *testing.T) {
-	s := New(WithCacheCap(1), WithEvalCacheCap(1))
-	defer s.Close()
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	specA := smallSpec()
-	specB := smallSpec()
-	specB.Model = "falcon-1.3b" // distinct analyzer fingerprint
-
-	var first TuneResponse
-	if status, body := postJSON(t, ts.URL+"/tune", TuneRequest{WorkloadSpec: specA}, &first); status != http.StatusOK {
-		t.Fatalf("tune A: status %d body %s", status, body)
-	}
-	// B's search makes A's cache the eviction victim (B is protected as
-	// the entry just used).
-	if status, body := postJSON(t, ts.URL+"/tune", TuneRequest{WorkloadSpec: specB}, nil); status != http.StatusOK {
-		t.Fatalf("tune B: status %d body %s", status, body)
-	}
-
-	var again TuneResponse
-	if status, body := postJSON(t, ts.URL+"/tune", TuneRequest{WorkloadSpec: specA}, &again); status != http.StatusOK {
-		t.Fatalf("re-tune A: status %d body %s", status, body)
-	}
-	if again.Cached {
-		t.Fatal("re-tune served from the plan cache; it was supposed to be evicted")
-	}
-	if again.EvalCacheMiss == 0 {
-		t.Error("re-tune after eviction reported no misses; the cache survived a 1-point cap")
-	}
-	if again.EvalHitRate > 0.5 {
-		t.Errorf("re-search after eviction hit rate %.3f; expected a cold cache", again.EvalHitRate)
-	}
-
-	st := s.Stats()
-	if st.EvalCacheEvictions < 1 {
-		t.Errorf("%d evictions, want at least 1", st.EvalCacheEvictions)
-	}
-	if st.EvalCachePointsRetired == 0 {
-		t.Error("evictions retired no points")
-	}
-	if st.EvalCachePointCap != 1 {
-		t.Errorf("point cap %d, want 1", st.EvalCachePointCap)
-	}
-	// Only the most recent fingerprint's cache survives a 1-point cap.
-	if st.EvalCacheEntries != 1 {
-		t.Errorf("registry holds %d entries, want 1", st.EvalCacheEntries)
+	if acquire(c) {
+		t.Error("C survived B's return although it was the coldest entry")
 	}
 }
 
 // TestAnalyzerOnlyEntriesBounded pins the /simulate-path bound: the
 // fingerprint components are user-controlled (Seq up to 65536, GPUs up
-// to 4096), so analyzer-only traffic — which calibrates an analyzer but
-// memoizes ~0 points — must still be charged against the cap and aged
-// out. A budget of one entry overhead keeps at most the just-used
-// fingerprint alive no matter how many distinct specs pass through.
+// to 4096), so a flood of inline-plan /simulate requests with distinct
+// fingerprints — each calibrating an analyzer and running no search —
+// must never grow the registry past its bound.
 func TestAnalyzerOnlyEntriesBounded(t *testing.T) {
-	r := newEvalRegistry(entryOverheadPoints)
-	const fingerprints = 5
-	for i := 0; i < fingerprints; i++ {
+	s := New()
+	defer s.Close()
+	const bound = 2
+	s.analyzers = newAnalyzerRegistry(bound)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	var tuned TuneResponse
+	if status, body := postJSON(t, ts.URL+"/tune", TuneRequest{WorkloadSpec: smallSpec()}, &tuned); status != http.StatusOK {
+		t.Fatalf("tune: status %d body %s", status, body)
+	}
+	seqs := []int{512, 1024, 4096, 8192, 16384}
+	for _, seq := range seqs {
 		ws := smallSpec()
-		ws.Seq = 512 << i // distinct analyzer fingerprint per iteration
-		w, cl, space, err := ws.normalize()
-		if err != nil {
-			t.Fatalf("normalize seq=%d: %v", ws.Seq, err)
+		ws.Seq = seq
+		if status, body := postJSON(t, ts.URL+"/simulate", SimulateRequest{WorkloadSpec: ws, Plan: tuned.Plan}, nil); status != http.StatusOK {
+			t.Fatalf("simulate seq=%d: status %d body %s", seq, status, body)
 		}
-		if _, err := r.analyzer(ws, w, cl, space); err != nil {
-			t.Fatalf("analyzer seq=%d: %v", ws.Seq, err)
+		if st := s.Stats(); st.Analyzers > bound {
+			t.Fatalf("after seq=%d the registry holds %d analyzers, bound %d", seq, st.Analyzers, bound)
 		}
 	}
-	entries, _, evictions, _ := r.snapshot()
-	if entries != 1 {
-		t.Errorf("registry holds %d analyzer-only entries, want 1 (the protected last-used)", entries)
+	st := s.Stats()
+	if st.TunesRun != 1 {
+		t.Errorf("ran %d searches, want 1 (the flood must not search)", st.TunesRun)
 	}
-	if want := uint64(fingerprints - 1); evictions != want {
-		t.Errorf("%d evictions across %d distinct simulate-only fingerprints, want %d",
-			evictions, fingerprints, want)
+	fingerprints := 1 + len(seqs)
+	if want := uint64(fingerprints - bound); st.Analyzers != bound || st.AnalyzerEvictions != want {
+		t.Errorf("%d analyzers / %d evictions after %d fingerprints, want %d / %d",
+			st.Analyzers, st.AnalyzerEvictions, fingerprints, bound, want)
 	}
 
-	// The surviving entry is still the shared one: re-acquiring the last
-	// fingerprint must reuse it, not rebuild.
-	ws := smallSpec()
-	ws.Seq = 512 << (fingerprints - 1)
-	w, cl, space, err := ws.normalize()
+	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, reused, err := r.acquire(ws, w, cl, space)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reused {
-		t.Error("last-used fingerprint was evicted; the keep protection failed")
+	defer resp.Body.Close()
+	data, _ := io.ReadAll(resp.Body)
+	for _, want := range []string{"mist_analyzers 2", "mist_analyzer_evictions_total 4"} {
+		if !strings.Contains(string(data), want) {
+			t.Errorf("/metrics missing %q", want)
+		}
 	}
 }

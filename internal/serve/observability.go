@@ -50,21 +50,13 @@ func (s *Server) registerRuntimeGauges() {
 		runtime.ReadMemStats(&ms)
 		return float64(ms.PauseTotalNs) / 1e9
 	})
-	s.metrics.RegisterGauge("mist_eval_cache_entries", nil, func() float64 {
-		entries, _, _, _ := s.evalReg.snapshot()
+	s.metrics.RegisterGauge("mist_analyzers", nil, func() float64 {
+		entries, _ := s.analyzers.snapshot()
 		return float64(entries)
 	})
-	s.metrics.RegisterGauge("mist_eval_cache_points", nil, func() float64 {
-		_, points, _, _ := s.evalReg.snapshot()
-		return float64(points)
-	})
-	s.metrics.RegisterGauge("mist_eval_cache_evictions_total", nil, func() float64 {
-		_, _, evicted, _ := s.evalReg.snapshot()
+	s.metrics.RegisterGauge("mist_analyzer_evictions_total", nil, func() float64 {
+		_, evicted := s.analyzers.snapshot()
 		return float64(evicted)
-	})
-	s.metrics.RegisterGauge("mist_eval_cache_points_retired_total", nil, func() float64 {
-		_, _, _, retired := s.evalReg.snapshot()
-		return float64(retired)
 	})
 }
 

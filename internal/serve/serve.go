@@ -39,13 +39,11 @@
 // dominated regions early and never degrades plan quality.
 //
 // The handler is safe for arbitrary concurrency: the plan cache is
-// mutex-guarded with per-key in-flight coalescing, tuner runs share
-// lock-free per-fingerprint evaluation caches (see evalreg.go) that
-// persist for the life of the process — a re-search of a known analyzer
-// configuration starts ~fully warm — and the underlying analyzer is
-// itself concurrency-safe. The eval-cache registry is bounded by total
-// cached points (-eval-cache-cap on mistserve, WithEvalCacheCap here);
-// least-recently-used caches are dropped whole when it fills.
+// mutex-guarded with per-key in-flight coalescing, and tuner runs share
+// one calibrated, concurrency-safe analyzer per fingerprint (see
+// evalreg.go), so a re-search of a known analyzer configuration skips
+// calibration. That registry is bounded at a fixed entry count;
+// least-recently-used fingerprints are dropped when it fills.
 package serve
 
 import (
@@ -213,9 +211,14 @@ type TuneResponse struct {
 	Candidates     int        `json:"candidates"`
 	SGPairs        int        `json:"sgPairs"`
 	ElapsedMS      float64    `json:"elapsedMs"`
-	EvalCacheHits  uint64     `json:"evalCacheHits"`
-	EvalCacheMiss  uint64     `json:"evalCacheMisses"`
-	EvalHitRate    float64    `json:"evalCacheHitRate"`
+
+	// Pricing traffic of the search (see core.Result): no memo layer
+	// answers pricings, so hits and the hit rate are always 0 and
+	// misses counts the analyzer evaluations. The names are kept for
+	// wire compatibility.
+	EvalCacheHits uint64  `json:"evalCacheHits"`
+	EvalCacheMiss uint64  `json:"evalCacheMisses"`
+	EvalHitRate   float64 `json:"evalCacheHitRate"`
 
 	// Cached reports that the plan came from the serving-layer plan
 	// cache (including coalescing onto a concurrent identical request)
@@ -273,15 +276,10 @@ type Stats struct {
 	PlanCacheCap       int    `json:"planCacheCap"`
 	PlanCacheEvictions uint64 `json:"planCacheEvictions"`
 
-	// Cross-request evaluation-cache registry: live analyzer-config
-	// fingerprints, total memoized (shape, knobs) pricings across them,
-	// the configured point budget, and the cumulative cost of staying
-	// under it (whole caches dropped, points those caches held).
-	EvalCacheEntries       int    `json:"evalCacheEntries"`
-	EvalCachePoints        int    `json:"evalCachePoints"`
-	EvalCachePointCap      int    `json:"evalCachePointCap"`
-	EvalCacheEvictions     uint64 `json:"evalCacheEvictions"`
-	EvalCachePointsRetired uint64 `json:"evalCachePointsRetired"`
+	// Cross-request analyzer registry: live analyzer-config
+	// fingerprints, and how many the entry bound has dropped.
+	Analyzers         int    `json:"analyzers"`
+	AnalyzerEvictions uint64 `json:"analyzerEvictions"`
 
 	// Durable plan store (zero-valued when no store is attached):
 	// indexed plans, exact-fingerprint hits served without a search,
@@ -360,12 +358,11 @@ type Server struct {
 	mu    sync.Mutex
 	plans map[string]*planEntry
 
-	cacheCap     int
-	store        *store.Store
-	jobs         *jobs.Manager
-	jobWorkers   int
-	evalCacheCap int
-	evalReg      *evalRegistry
+	cacheCap   int
+	store      *store.Store
+	jobs       *jobs.Manager
+	jobWorkers int
+	analyzers  *analyzerRegistry
 
 	cluster *cluster.Cluster
 	logFn   func(format string, args ...any)
@@ -453,19 +450,6 @@ func WithCacheCap(n int) Option {
 	}
 }
 
-// WithEvalCacheCap bounds the cross-request evaluation-cache registry
-// at n total memoized pricing points across all analyzer fingerprints
-// (values < 1 keep the default, roughly 4M points / 400 MB). When the
-// bound is exceeded, least-recently-used per-fingerprint caches are
-// dropped whole; a dropped fingerprint re-prices on its next search.
-func WithEvalCacheCap(n int) Option {
-	return func(s *Server) {
-		if n >= 1 {
-			s.evalCacheCap = n
-		}
-	}
-}
-
 // WithJobWorkers sets the async job pool width (values < 1 keep the
 // default).
 func WithJobWorkers(n int) Option {
@@ -526,7 +510,7 @@ func New(opts ...Option) *Server {
 		o(s)
 	}
 	s.limits = s.limits.withDefaults()
-	s.evalReg = newEvalRegistry(s.evalCacheCap)
+	s.analyzers = newAnalyzerRegistry(maxAnalyzers)
 	s.tuneGate = newGate("/tune", s.limits)
 	s.simulateGate = newGate("/simulate", s.limits)
 	// The job queue shares the admission bound; the manager treats 0 as
@@ -741,18 +725,18 @@ func (s *Server) runTune(ctx context.Context, ws WorkloadSpec, w plan.Workload, 
 	s.tunesRun.Add(1)
 	// The prepare span covers tuner construction (operator DB +
 	// interference fit — real milliseconds, skipped entirely when the
-	// fingerprint's analyzer is already in the eval-cache registry) and
+	// fingerprint's analyzer is already in the analyzer registry) and
 	// the warm-start neighbor lookup; without it the gap between
 	// store-check and search would be unaccounted trace time.
 	_, psp := trace.StartSpan(ctx, "prepare")
-	an, cache, reused, err := s.evalReg.acquire(ws, w, cl, space)
+	an, reused, err := s.analyzers.acquire(ws, w, cl, space)
 	if err != nil {
 		psp.Annotate("error", err.Error())
 		psp.End()
 		return nil, nil, &badRequestError{err}
 	}
-	psp.Annotate("evalCacheReused", reused)
-	tn, err := core.NewShared(w, cl, an, space, cache)
+	psp.Annotate("analyzerReused", reused)
+	tn, err := core.NewShared(w, cl, an, space)
 	if err != nil {
 		psp.Annotate("error", err.Error())
 		psp.End()
@@ -775,11 +759,7 @@ func (s *Server) runTune(ctx context.Context, ws WorkloadSpec, w plan.Workload, 
 	tsp.Annotate("candidates", res.Candidates)
 	tsp.Annotate("sgPairs", res.SGPairs)
 	tsp.Annotate("warmStarted", res.WarmStarted)
-	tsp.Annotate("evalCacheHitRate", res.CacheHitRate())
 	tsp.End()
-	// The search just grew its fingerprint's cache; shed the coldest
-	// caches if the registry is now over its point budget.
-	s.evalReg.enforceCap(evalKey(ws, space))
 	if res.WarmStarted {
 		s.warmStarts.Add(1)
 	}
@@ -817,8 +797,8 @@ func (s *Server) runTune(ctx context.Context, ws WorkloadSpec, w plan.Workload, 
 
 // analyzerFor returns a calibrated analyzer for a spec, reusing the one
 // attached to the spec's plan-cache entry when present and falling back
-// to the eval-cache registry's shared analyzer (which calibrates at most
-// once per fingerprint). Building one is the expensive part of
+// to the analyzer registry's shared analyzer (which calibrates at most
+// once per fingerprint while the entry lives). Building one is the expensive part of
 // /simulate (operator DB + interference fit), so repeated simulation
 // traffic must not pay it per request. The wait on an in-flight entry
 // is bounded by ctx so an inline-plan /simulate honors its request
@@ -837,7 +817,7 @@ func (s *Server) analyzerFor(ctx context.Context, ws WorkloadSpec, w plan.Worklo
 			return e.an, nil
 		}
 	}
-	an, err := s.evalReg.analyzer(ws, w, cl, space)
+	an, _, err := s.analyzers.acquire(ws, w, cl, space)
 	if err != nil {
 		return nil, &badRequestError{err}
 	}
@@ -1016,12 +996,7 @@ func (s *Server) scalarStats() Stats {
 	if s.store != nil {
 		st.StoreSize = s.store.Len()
 	}
-	entries, points, evicted, retired := s.evalReg.snapshot()
-	st.EvalCacheEntries = entries
-	st.EvalCachePoints = points
-	st.EvalCachePointCap = s.evalReg.capPoints
-	st.EvalCacheEvictions = evicted
-	st.EvalCachePointsRetired = retired
+	st.Analyzers, st.AnalyzerEvictions = s.analyzers.snapshot()
 	if runs := st.TunesRun; runs > 0 {
 		st.WarmStartHitRate = float64(st.WarmStarts) / float64(runs)
 	}

@@ -68,10 +68,11 @@ func TestTuneAndPlanCache(t *testing.T) {
 	if first.Cached {
 		t.Error("first request reported cached")
 	}
-	// Hit counts depend on the workload's stage structure (this tiny
-	// 2-GPU spec has no duplicate points), but traffic must be reported.
-	if first.EvalCacheMiss == 0 {
-		t.Error("tuner reported no evaluation-cache traffic")
+	// Every candidate priced is one analyzer evaluation; no memo layer
+	// answers any of them.
+	if first.EvalCacheHits != 0 || first.EvalCacheMiss != uint64(first.Candidates) || first.EvalHitRate != 0 {
+		t.Errorf("eval traffic hits %d misses %d rate %v, want 0 / %d candidates / 0",
+			first.EvalCacheHits, first.EvalCacheMiss, first.EvalHitRate, first.Candidates)
 	}
 
 	var second TuneResponse

@@ -10,7 +10,7 @@
 //     active span returns (ctx, nil) without allocating — so
 //     instrumentation can sit permanently on the hot search path
 //     (BenchmarkTraceOverhead pins the cost, and the bench-regression
-//     gate on BenchmarkTuneMemoizedCold pins the end-to-end effect).
+//     gate on BenchmarkTuneCold pins the end-to-end effect).
 //  2. One logical request is ONE trace across nodes. The trace id and
 //     the current span id travel on the X-Mist-Trace / X-Mist-Span
 //     headers next to X-Mist-Request-Id; each node records its local
