@@ -71,10 +71,9 @@ pilot-smoke: ## autoscaling drill: a flash crowd must scale 3 nodes out to 5 and
 property: ## schedule invariants, repeated with a pinned quick.Check budget
 	$(GO) test ./internal/schedule -run 'TestProperty' -count=5 -quickchecks $(QUICKCHECKS)
 
-bench: ## cold search, Pareto frontier, cold-vs-warm search, batch-submit amortization, tracing overhead, SLO evaluation
+bench: ## cold search, Pareto frontier, batch-submit amortization, tracing overhead, SLO evaluation, pilot evaluation
 	$(GO) test -run xxx -bench 'BenchmarkTune' -benchtime=3x .
 	$(GO) test -run xxx -bench 'BenchmarkParetoFrontier' ./internal/core
-	$(GO) test -run xxx -bench 'BenchmarkWarmStartTune' -benchtime=3x ./internal/core
 	$(GO) test -run xxx -bench 'BenchmarkBatchSubmit' -benchtime=2x ./internal/serve
 	$(GO) test -run xxx -bench 'BenchmarkTraceOverhead' ./internal/trace
 	$(GO) test -run xxx -bench 'BenchmarkSLOEvaluate' -benchtime=2s ./internal/slo
@@ -83,7 +82,6 @@ bench: ## cold search, Pareto frontier, cold-vs-warm search, batch-submit amorti
 bench-json: ## run the bench set and record a machine-readable trajectory point at $(BENCH_OUT)
 	( $(GO) test -run xxx -bench 'BenchmarkTune' -benchtime=3x -benchmem . ; \
 	  $(GO) test -run xxx -bench 'BenchmarkParetoFrontier' -benchmem ./internal/core ; \
-	  $(GO) test -run xxx -bench 'BenchmarkWarmStartTune' -benchtime=3x -benchmem ./internal/core ; \
 	  $(GO) test -run xxx -bench 'BenchmarkBatchSubmit' -benchtime=2x -benchmem ./internal/serve ; \
 	  $(GO) test -run xxx -bench 'BenchmarkTraceOverhead' -benchmem ./internal/trace ; \
 	  $(GO) test -run xxx -bench 'BenchmarkSLOEvaluate' -benchtime=2s -benchmem ./internal/slo ; \

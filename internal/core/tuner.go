@@ -46,16 +46,6 @@ type Tuner struct {
 	// enumeration (used for cross-checks).
 	Exhaustive bool
 
-	// Warm optionally seeds the search with a neighbor plan (see
-	// warm.go): the seed is priced into an incumbent bound that prunes
-	// provably dominated regions, its candidates are injected into the
-	// matching (S, G) pair, and it is the fallback answer — so a warm
-	// start can only match or improve on the cold search's plan. The
-	// seed should come from the same search space (the plan store
-	// enforces this); a seed using knobs outside Space can surface them
-	// in the result. Invalid or unadaptable seeds are ignored.
-	Warm *plan.Plan
-
 	// evOverride, when set, replaces the analyzer as the pricing
 	// backend (tests use it to inject evaluator failures and count
 	// attempts).
@@ -71,23 +61,14 @@ type Tuner struct {
 	knobMu   sync.Mutex
 	knobSets map[int][]schedule.Knobs
 
-	// Per-Tune search state: the priced warm seed, the global incumbent
-	// bound (float64 bits; +Inf when no solution is known yet), and
-	// telemetry counters shared by the concurrent (S, G) workers.
-	// incumbent is seeded from the warm objective and lowered by every
-	// completed pair, so later pairs prune against the best solution
-	// found so far — on cold searches too. All non-atomic fields are
-	// written only before the workers spawn.
-	warmSeed    *warmSeed
-	incumbent   atomic.Uint64
-	warmPruned  atomic.Int64
-	warmAborted atomic.Int64
-
-	// disableIncumbent stops completed pairs from feeding the incumbent
-	// bound (the warm seed still does). Tests use it to get
-	// run-to-run-deterministic candidate counts for a reference search;
-	// the chosen plan is identical either way.
-	disableIncumbent bool
+	// Per-Tune search state shared by the concurrent (S, G) workers: the
+	// global incumbent bound (float64 bits; 0 while no solution is
+	// known), lowered by every completed pair so later pairs prune
+	// against the best solution found so far (see bound.go), and its
+	// pruning telemetry counters.
+	incumbent atomic.Uint64
+	pruned    atomic.Int64
+	aborted   atomic.Int64
 
 	// tuneCtx bounds the running search; canceling it makes
 	// TuneContext return the context's error.
@@ -181,32 +162,6 @@ func (t *Tuner) knobSet(layers int) []schedule.Knobs {
 	return knobs
 }
 
-// bound returns the current incumbent objective: the best complete
-// solution known so far (+Inf before any), the pruning threshold for
-// pruneByBound and pairBound.
-func (t *Tuner) bound() float64 {
-	return math.Float64frombits(t.incumbent.Load())
-}
-
-// offerIncumbent lowers the incumbent bound to obj if it improves on the
-// current one (CAS-min over the float bits; positive finite floats order
-// the same as their bit patterns, but comparing as floats keeps this
-// obviously correct).
-func (t *Tuner) offerIncumbent(obj float64) {
-	if !(obj > 0) || math.IsInf(obj, 1) {
-		return
-	}
-	for {
-		cur := t.incumbent.Load()
-		if math.Float64frombits(cur) <= obj {
-			return
-		}
-		if t.incumbent.CompareAndSwap(cur, math.Float64bits(obj)) {
-			return
-		}
-	}
-}
-
 // ctxErr reports the running search's context error (nil outside a
 // TuneContext call).
 func (t *Tuner) ctxErr() error {
@@ -235,18 +190,15 @@ type Result struct {
 	EvalCacheHits   uint64
 	EvalCacheMisses uint64
 
-	// Incumbent-pruning telemetry: whether a seed plan survived
-	// validation and pricing, its objective (the initial incumbent
-	// bound), how many priced candidates the bound pruned before
-	// inter-stage selection, and how many (S, G) pairs were abandoned
-	// mid-sweep — the latter is where analyzer evaluations are saved.
-	// The incumbent is also fed by every completed pair, so the pruning
-	// counters can be nonzero on cold searches; their exact values are
-	// scheduling-dependent (the chosen plan never is).
-	WarmStarted       bool
-	WarmSeedObjective float64
-	WarmPruned        int
-	WarmAbortedPairs  int
+	// Incumbent-bound telemetry (see bound.go): how many priced
+	// candidates the bound pruned before inter-stage selection, and how
+	// many (S, G) pairs were abandoned mid-sweep — the latter is where
+	// analyzer evaluations are saved. The Warm prefix outlived the
+	// warm-started search because wire fields and mistperf read these
+	// names. Exact values are scheduling-dependent (the chosen plan
+	// never is).
+	WarmPruned       int
+	WarmAbortedPairs int
 }
 
 // CacheHitRate returns EvalCacheHits / (EvalCacheHits + EvalCacheMisses),
@@ -339,24 +291,11 @@ func (t *Tuner) TuneContext(ctx context.Context) (*Result, error) {
 	res := &Result{}
 	evalsBefore := t.evals.Load()
 
-	// Warm-start setup (see warm.go): price the seed, arm the incumbent
-	// bound, reset telemetry. All writes happen before workers spawn.
+	// Reset the incumbent bound and its telemetry before workers spawn.
 	t.tuneCtx = ctx
-	t.warmSeed = nil
-	t.incumbent.Store(math.Float64bits(math.Inf(1)))
-	t.warmPruned.Store(0)
-	t.warmAborted.Store(0)
-	_, wsp := trace.StartSpan(ctx, "warm-adapt")
-	seed, nWarm := t.prepareWarm()
-	wsp.Annotate("warmStarted", seed != nil)
-	wsp.End()
-	res.Candidates += nWarm // seed pricing is real evaluator traffic
-	if seed != nil {
-		t.warmSeed = seed
-		t.offerIncumbent(seed.objective)
-		res.WarmStarted = true
-		res.WarmSeedObjective = seed.objective
-	}
+	t.incumbent.Store(0)
+	t.pruned.Store(0)
+	t.aborted.Store(0)
 
 	type sg struct{ s, g, devPer int }
 	var pairs []sg
@@ -364,18 +303,6 @@ func (t *Tuner) TuneContext(ctx context.Context) (*Result, error) {
 		devPer := t.Cluster.TotalGPUs() / s
 		for _, g := range t.gradAccums() {
 			pairs = append(pairs, sg{s: s, g: g, devPer: devPer})
-		}
-	}
-	// Best-first dispatch: the seed's own pair goes first so the solver
-	// can tighten the incumbent past U immediately (on cold searches the
-	// existing shallow-pipelines-first order already lands a cheap
-	// incumbent early).
-	if seed != nil {
-		for i, p := range pairs {
-			if p.s == len(seed.stages) && p.g == seed.g {
-				pairs[0], pairs[i] = pairs[i], pairs[0]
-				break
-			}
 		}
 	}
 	res.SGPairs = len(pairs)
@@ -418,7 +345,7 @@ func (t *Tuner) TuneContext(ctx context.Context) (*Result, error) {
 					sol = nil // infeasible (S, G): OOM or no factorization
 					psp.Annotate("infeasible", true)
 				}
-				if sol != nil && !t.disableIncumbent {
+				if sol != nil {
 					// Publish the pair's optimum immediately so pairs still
 					// in flight prune against the best solution so far.
 					t.offerIncumbent(sol.Objective)
@@ -453,28 +380,20 @@ func (t *Tuner) TuneContext(ctx context.Context) (*Result, error) {
 			best = &found{sol: o.sol, s: o.s, g: o.g}
 		}
 	}
-	res.WarmPruned = int(t.warmPruned.Load())
-	res.WarmAbortedPairs = int(t.warmAborted.Load())
+	res.WarmPruned = int(t.pruned.Load())
+	res.WarmAbortedPairs = int(t.aborted.Load())
 	res.EvalCacheMisses = t.evals.Load() - evalsBefore
 	swsp.Annotate("pairs", res.SGPairs)
 	swsp.Annotate("candidates", res.Candidates)
 	swsp.Annotate("evalCacheHits", res.EvalCacheHits)
 	swsp.Annotate("evalCacheMisses", res.EvalCacheMisses)
-	swsp.Annotate("warmPruned", res.WarmPruned)
-	swsp.Annotate("warmAbortedPairs", res.WarmAbortedPairs)
+	swsp.Annotate("boundPruned", res.WarmPruned)
+	swsp.Annotate("boundAbortedPairs", res.WarmAbortedPairs)
 	swsp.End()
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	res.Elapsed = time.Since(start)
-	if seed != nil && (best == nil || best.sol.Objective > seed.objective) {
-		// The (pruned) search failed to beat the seed: the seed itself is
-		// the answer, so a warm start never regresses below its neighbor.
-		best = &found{
-			sol: &interSolution{Stages: seed.stages, Objective: seed.objective},
-			s:   len(seed.stages), g: seed.g,
-		}
-	}
 	if best == nil {
 		return nil, ErrNoFeasiblePlan
 	}
@@ -522,17 +441,16 @@ func (t *Tuner) tuneSG(ctx context.Context, s, g, devPer int) (*interSolution, i
 				}
 				stageC = append(stageC, paretoSample(cs, g, t.Space.paretoSamples(), sc)...)
 			}
-			stageC = t.injectSeed(stageC, s, g, i)
 			if len(stageC) == 0 {
 				return fmt.Errorf("core: stage %d infeasible for S=%d G=%d", i, s, g)
 			}
 			stageC = t.pruneByBound(stageC, g)
 			if len(stageC) == 0 || pb.add(stageC, g, t.bound()) {
 				// Every surviving combination of this pair is provably no
-				// better than the warm seed: stop before pricing the
+				// better than the incumbent: stop before pricing the
 				// remaining stages.
-				t.warmAborted.Add(1)
-				return &warmPrunedError{s: s, g: g}
+				t.aborted.Add(1)
+				return &boundPrunedError{s: s, g: g}
 			}
 			cands[i] = stageC
 		}
@@ -590,14 +508,13 @@ func (t *Tuner) tuneSGHetero(ctx context.Context, s, g int) (*interSolution, int
 					stageC = append(stageC, paretoSample(cs, g, t.Space.paretoSamples(), sc)...)
 				}
 			}
-			stageC = t.injectSeed(stageC, s, g, i)
 			if len(stageC) == 0 {
 				return fmt.Errorf("core: stage %d infeasible for S=%d G=%d (hetero)", i, s, g)
 			}
 			stageC = t.pruneByBound(stageC, g)
 			if len(stageC) == 0 || pb.add(stageC, g, t.bound()) {
-				t.warmAborted.Add(1)
-				return &warmPrunedError{s: s, g: g}
+				t.aborted.Add(1)
+				return &boundPrunedError{s: s, g: g}
 			}
 			cands[i] = stageC
 		}

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/hardware"
 	"repro/internal/model"
@@ -15,6 +17,15 @@ import (
 
 func testWorkload(name string, batch int) plan.Workload {
 	return plan.Workload{Model: model.MustByName(name), Seq: 2048, Flash: true, GlobalBatch: batch}
+}
+
+func l4(t *testing.T, gpus int) *hardware.Cluster {
+	t.Helper()
+	nodes, perNode, err := hardware.MeshForGPUs(gpus)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return hardware.L4Cluster(nodes, perNode)
 }
 
 func mustTune(t *testing.T, w plan.Workload, gpus int, space Space) *Result {
@@ -52,6 +63,38 @@ func TestTuneSmallModel(t *testing.T) {
 	if res.EvalCacheHits != 0 || res.EvalCacheMisses != uint64(res.Candidates) {
 		t.Errorf("hits/misses %d/%d, want 0/%d (one evaluation per candidate)",
 			res.EvalCacheHits, res.EvalCacheMisses, res.Candidates)
+	}
+}
+
+// TuneContext honors cancellation: a pre-canceled context aborts without
+// a result, and the error is the context's.
+func TestTuneContextCancellation(t *testing.T) {
+	w := testWorkload("gpt3-1.3b", 8)
+	tn, err := New(w, l4(t, 2), DeepSpeedSpace())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := tn.TuneContext(ctx); !errors.Is(err, context.Canceled) {
+		t.Errorf("pre-canceled tune returned %v", err)
+	}
+
+	// A context canceled mid-flight also aborts (quickly, not after the
+	// full search).
+	ctx2, cancel2 := context.WithTimeout(context.Background(), time.Millisecond)
+	defer cancel2()
+	tn2, err := New(testWorkload("gpt3-2.7b", 32), l4(t, 4), MistSpace())
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	_, err = tn2.TuneContext(ctx2)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("mid-flight cancel returned %v", err)
+	}
+	if elapsed := time.Since(start); elapsed > 30*time.Second {
+		t.Errorf("canceled search still took %v", elapsed)
 	}
 }
 

@@ -295,7 +295,6 @@ func (s *Server) handleMetrics(rw http.ResponseWriter, req *http.Request) {
 		{"mist_plan_cache_hits_total", st.PlanCacheHits},
 		{"mist_plan_cache_evictions_total", st.PlanCacheEvictions},
 		{"mist_store_hits_total", st.StoreHits},
-		{"mist_warm_starts_total", st.WarmStarts},
 		{"mist_http_rejected_total", st.Rejected429},
 		{"mist_cluster_local_fallbacks_total", st.ClusterLocalFallbacks},
 	}

@@ -10,9 +10,9 @@ import (
 // BenchmarkBatchSubmit drives a fleet-style batch — several distinct
 // workloads plus duplicates — through the async job queue and waits for
 // the batch to drain. The cold sub-benchmark starts from an empty plan
-// store each op; the warm one reuses a pre-populated store, so exact
-// repeats are answered from disk and the rest warm-start — the
-// amortization a fleet operator sees across recurring tuning sweeps.
+// store each op; the warm one reuses a pre-populated store, so every
+// spec is answered from disk without a search — the amortization a
+// fleet operator sees across recurring tuning sweeps.
 // searches/op reports how many searches actually ran per batch.
 func BenchmarkBatchSubmit(b *testing.B) {
 	specs := make([]JobSpec, 0, 8)

@@ -19,8 +19,8 @@
 //	GET  /healthz    — liveness probe.
 //	GET  /stats      — request counters, plan-cache occupancy/evictions,
 //	                   job-queue depth and worker utilization, plan-store
-//	                   size and warm-start hit rate, per-endpoint latency
-//	                   quantiles and status-code counts.
+//	                   size and hits, per-endpoint latency quantiles and
+//	                   status-code counts.
 //	GET  /metrics    — Prometheus text exposition of the same counters
 //	                   and latency histograms.
 //
@@ -33,10 +33,7 @@
 // burning CPU (504 on expiry). See Limits.
 //
 // With a plan store attached (WithStore), every tuned plan is durably
-// written to disk and served back after a restart without re-searching;
-// near-miss requests warm-start their search from the nearest stored
-// neighbor (same model family, closest GPU count/batch), which prunes
-// dominated regions early and never degrades plan quality.
+// written to disk and served back after a restart without re-searching.
 //
 // The handler is safe for arbitrary concurrency: the plan cache is
 // mutex-guarded with per-key in-flight coalescing, and tuner runs share
@@ -231,15 +228,12 @@ type TuneResponse struct {
 	FromStore    bool `json:"fromStore,omitempty"`
 	StoreVersion int  `json:"storeVersion,omitempty"`
 
-	// Warm-start telemetry for fresh searches seeded from a stored
-	// neighbor plan: the seed's objective became an incumbent bound that
-	// pruned WarmPruned candidates and aborted WarmAbortedPairs
-	// (pipeline depth, grad accum) pairs early. Warm starts only prune —
-	// the returned plan is never worse than a cold search's.
-	WarmStarted       bool    `json:"warmStarted,omitempty"`
-	WarmSeedObjective float64 `json:"warmSeedObjective,omitempty"`
-	WarmPruned        int     `json:"warmPrunedCandidates,omitempty"`
-	WarmAbortedPairs  int     `json:"warmAbortedPairs,omitempty"`
+	// Incumbent-bound telemetry of a fresh search (core.Result's fields
+	// of the same names): candidates pruned by the best solution found
+	// so far, and (pipeline depth, grad accum) pairs abandoned early.
+	// Pruning never changes the returned plan.
+	WarmPruned       int `json:"warmPrunedCandidates,omitempty"`
+	WarmAbortedPairs int `json:"warmAbortedPairs,omitempty"`
 }
 
 // SimulateRequest is the /simulate body: a workload spec plus an
@@ -282,13 +276,9 @@ type Stats struct {
 	AnalyzerEvictions uint64 `json:"analyzerEvictions"`
 
 	// Durable plan store (zero-valued when no store is attached):
-	// indexed plans, exact-fingerprint hits served without a search,
-	// searches seeded from a stored neighbor, and the fraction of
-	// searches run that were warm-started.
-	StoreSize        int     `json:"storeSize"`
-	StoreHits        uint64  `json:"storeHits"`
-	WarmStarts       uint64  `json:"warmStarts"`
-	WarmStartHitRate float64 `json:"warmStartHitRate"`
+	// indexed plans and exact-fingerprint hits served without a search.
+	StoreSize int    `json:"storeSize"`
+	StoreHits uint64 `json:"storeHits"`
 
 	// Async job queue and worker pool.
 	JobsSubmitted     uint64  `json:"jobsSubmitted"`
@@ -401,7 +391,6 @@ type Server struct {
 	tunesRun         atomic.Uint64
 	evictions        atomic.Uint64
 	storeHits        atomic.Uint64
-	warmStarts       atomic.Uint64
 	rejected429      atomic.Uint64
 
 	forwards          atomic.Uint64
@@ -434,8 +423,8 @@ type Server struct {
 type Option func(*Server)
 
 // WithStore attaches a durable plan store: tuned plans are written
-// through, exact fingerprints are served from it without re-searching,
-// and near-miss searches warm-start from the nearest stored neighbor.
+// through, and exact fingerprints are served from it without
+// re-searching.
 func WithStore(st *store.Store) Option {
 	return func(s *Server) { s.store = st }
 }
@@ -617,7 +606,9 @@ func (s *Server) Handler() http.Handler {
 // running the tuner at most once per distinct spec. The returned
 // response is a private copy with Cached set for this caller. Cancellation aborts a search this
 // call started; coalesced waiters on that search then see the error and
-// the failed entry is dropped, so a later request simply retries.
+// the failed entry is dropped, so a later request simply retries. Only a
+// caller answered with a completed entry's response counts as a
+// plan-cache hit.
 func (s *Server) tuneCtx(ctx context.Context, ws WorkloadSpec) (*TuneResponse, error) {
 	w, cl, space, err := ws.normalize()
 	if err != nil {
@@ -632,7 +623,6 @@ func (s *Server) tuneCtx(ctx context.Context, ws WorkloadSpec) (*TuneResponse, e
 			break
 		}
 		s.mu.Unlock()
-		s.planCacheHits.Add(1)
 		select {
 		case <-e.ready:
 		case <-ctx.Done():
@@ -649,6 +639,7 @@ func (s *Server) tuneCtx(ctx context.Context, ws WorkloadSpec) (*TuneResponse, e
 			}
 			return nil, e.err
 		}
+		s.planCacheHits.Add(1)
 		resp := *e.resp
 		resp.Cached = true
 		return &resp, nil
@@ -690,8 +681,7 @@ func responseFromRecord(rec store.Record) *TuneResponse {
 
 // runTune answers a plan-cache miss: from the durable store when the
 // exact fingerprint was tuned by any earlier process, otherwise by a
-// fresh search — warm-started from the nearest stored neighbor when one
-// exists — whose result is then written through to the store.
+// fresh search whose result is then written through to the store.
 func (s *Server) runTune(ctx context.Context, ws WorkloadSpec, w plan.Workload, cl *hardware.Cluster, space core.Space) (*TuneResponse, *schedule.Analyzer, error) {
 	fp := ws.fingerprint()
 	if s.store != nil {
@@ -725,9 +715,9 @@ func (s *Server) runTune(ctx context.Context, ws WorkloadSpec, w plan.Workload, 
 	s.tunesRun.Add(1)
 	// The prepare span covers tuner construction (operator DB +
 	// interference fit — real milliseconds, skipped entirely when the
-	// fingerprint's analyzer is already in the analyzer registry) and
-	// the warm-start neighbor lookup; without it the gap between
-	// store-check and search would be unaccounted trace time.
+	// fingerprint's analyzer is already in the analyzer registry);
+	// without it the gap between store-check and search would be
+	// unaccounted trace time.
 	_, psp := trace.StartSpan(ctx, "prepare")
 	an, reused, err := s.analyzers.acquire(ws, w, cl, space)
 	if err != nil {
@@ -742,12 +732,6 @@ func (s *Server) runTune(ctx context.Context, ws WorkloadSpec, w plan.Workload, 
 		psp.End()
 		return nil, nil, err
 	}
-	if s.store != nil {
-		if nb, ok := s.store.Nearest(fp); ok {
-			tn.Warm = nb.Plan
-			psp.Annotate("warmNeighbor", true)
-		}
-	}
 	psp.End()
 	tctx, tsp := trace.StartSpan(ctx, "search")
 	res, err := tn.TuneContext(tctx)
@@ -758,25 +742,19 @@ func (s *Server) runTune(ctx context.Context, ws WorkloadSpec, w plan.Workload, 
 	}
 	tsp.Annotate("candidates", res.Candidates)
 	tsp.Annotate("sgPairs", res.SGPairs)
-	tsp.Annotate("warmStarted", res.WarmStarted)
 	tsp.End()
-	if res.WarmStarted {
-		s.warmStarts.Add(1)
-	}
 	resp := &TuneResponse{
-		Plan:              res.Plan,
-		Predicted:         res.Predicted,
-		PredThroughput:    res.PredThroughput,
-		Candidates:        res.Candidates,
-		SGPairs:           res.SGPairs,
-		ElapsedMS:         float64(res.Elapsed) / float64(time.Millisecond),
-		EvalCacheHits:     res.EvalCacheHits,
-		EvalCacheMiss:     res.EvalCacheMisses,
-		EvalHitRate:       res.CacheHitRate(),
-		WarmStarted:       res.WarmStarted,
-		WarmSeedObjective: res.WarmSeedObjective,
-		WarmPruned:        res.WarmPruned,
-		WarmAbortedPairs:  res.WarmAbortedPairs,
+		Plan:             res.Plan,
+		Predicted:        res.Predicted,
+		PredThroughput:   res.PredThroughput,
+		Candidates:       res.Candidates,
+		SGPairs:          res.SGPairs,
+		ElapsedMS:        float64(res.Elapsed) / float64(time.Millisecond),
+		EvalCacheHits:    res.EvalCacheHits,
+		EvalCacheMiss:    res.EvalCacheMisses,
+		EvalHitRate:      res.CacheHitRate(),
+		WarmPruned:       res.WarmPruned,
+		WarmAbortedPairs: res.WarmAbortedPairs,
 	}
 	if s.store != nil {
 		// Best-effort write-through: a full disk must not fail the
@@ -991,15 +969,11 @@ func (s *Server) scalarStats() Stats {
 		PlanCacheCap:       s.cacheCap,
 		PlanCacheEvictions: s.evictions.Load(),
 		StoreHits:          s.storeHits.Load(),
-		WarmStarts:         s.warmStarts.Load(),
 	}
 	if s.store != nil {
 		st.StoreSize = s.store.Len()
 	}
 	st.Analyzers, st.AnalyzerEvictions = s.analyzers.snapshot()
-	if runs := st.TunesRun; runs > 0 {
-		st.WarmStartHitRate = float64(st.WarmStarts) / float64(runs)
-	}
 	js := s.jobs.Stats()
 	st.JobsSubmitted = js.Submitted
 	st.JobsDeduped = js.Deduped

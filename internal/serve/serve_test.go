@@ -5,9 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -134,6 +136,51 @@ func TestConcurrentTuneRequestsCoalesce(t *testing.T) {
 	}
 	if st := s.Stats(); st.TunesRun != 1 {
 		t.Errorf("tuner ran %d times under concurrent identical requests, want 1", st.TunesRun)
+	}
+}
+
+// Waiters coalesced onto a search that fails are not plan-cache hits:
+// concurrent requests for an infeasible spec all get 422, and neither
+// /stats nor /metrics counts a hit.
+func TestFailedCoalescedSearchIsNoCacheHit(t *testing.T) {
+	s := New()
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	infeasible := WorkloadSpec{Model: "gpt3-7b", GPUs: 2, Batch: 8, Seq: 4096, Space: "3d"}
+	const clients = 8
+	start := make(chan struct{})
+	statuses := make(chan int, clients)
+	var wg sync.WaitGroup
+	for i := 0; i < clients; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			status, _ := postJSON(t, ts.URL+"/tune", TuneRequest{WorkloadSpec: infeasible}, nil)
+			statuses <- status
+		}()
+	}
+	close(start)
+	wg.Wait()
+	close(statuses)
+	for status := range statuses {
+		if status != http.StatusUnprocessableEntity {
+			t.Errorf("infeasible workload: status %d, want 422", status)
+		}
+	}
+	if st := s.Stats(); st.PlanCacheHits != 0 {
+		t.Errorf("failed searches counted %d plan-cache hits", st.PlanCacheHits)
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	data, _ := io.ReadAll(resp.Body)
+	if !strings.Contains(string(data), "\nmist_plan_cache_hits_total 0\n") {
+		t.Errorf("/metrics should report zero plan-cache hits:\n%s", data)
 	}
 }
 
