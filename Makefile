@@ -71,8 +71,10 @@ pilot-smoke: ## autoscaling drill: a flash crowd must scale 3 nodes out to 5 and
 property: ## schedule invariants, repeated with a pinned quick.Check budget
 	$(GO) test ./internal/schedule -run 'TestProperty' -count=5 -quickchecks $(QUICKCHECKS)
 
-bench: ## cold search, Pareto frontier, batch-submit amortization, tracing overhead, SLO evaluation, pilot evaluation
+bench: ## cold search, stage pricing (ckpt-major and tuple-major batches), symbolic tape per frame and per column block, Pareto frontier, batch-submit amortization, tracing overhead, SLO evaluation, pilot evaluation
 	$(GO) test -run xxx -bench 'BenchmarkTune' -benchtime=3x .
+	$(GO) test -run xxx -bench 'BenchmarkEvaluateBatch' ./internal/schedule
+	$(GO) test -run xxx -bench 'BenchmarkEval(Compiled|Columns)$$' ./internal/symbolic
 	$(GO) test -run xxx -bench 'BenchmarkParetoFrontier' ./internal/core
 	$(GO) test -run xxx -bench 'BenchmarkBatchSubmit' -benchtime=2x ./internal/serve
 	$(GO) test -run xxx -bench 'BenchmarkTraceOverhead' ./internal/trace
@@ -81,6 +83,8 @@ bench: ## cold search, Pareto frontier, batch-submit amortization, tracing overh
 
 bench-json: ## run the bench set and record a machine-readable trajectory point at $(BENCH_OUT)
 	( $(GO) test -run xxx -bench 'BenchmarkTune' -benchtime=3x -benchmem . ; \
+	  $(GO) test -run xxx -bench 'BenchmarkEvaluateBatch' -benchmem ./internal/schedule ; \
+	  $(GO) test -run xxx -bench 'BenchmarkEval(Compiled|Columns)$$' -benchmem ./internal/symbolic ; \
 	  $(GO) test -run xxx -bench 'BenchmarkParetoFrontier' -benchmem ./internal/core ; \
 	  $(GO) test -run xxx -bench 'BenchmarkBatchSubmit' -benchtime=2x -benchmem ./internal/serve ; \
 	  $(GO) test -run xxx -bench 'BenchmarkTraceOverhead' -benchmem ./internal/trace ; \

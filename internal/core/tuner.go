@@ -98,9 +98,8 @@ func (t *Tuner) evaluate(shape schedule.StageShape, k schedule.Knobs) (schedule.
 
 // knobSet returns the knob batch for one layer count, building it on
 // first use: the checkpoint grid is quantized to the layer count and
-// crossed with the space's offload-ratio grids (identical to the
-// enumeration the intra-stage sweep always used, hoisted out of the
-// per-(stage, layer) hot path). Callers must not mutate it.
+// crossed with the space's offload-ratio grids, hoisted out of the
+// per-(stage, layer) hot path. Callers must not mutate it.
 func (t *Tuner) knobSet(layers int) []schedule.Knobs {
 	t.knobMu.Lock()
 	defer t.knobMu.Unlock()
@@ -141,12 +140,15 @@ func (t *Tuner) knobSet(layers int) []schedule.Knobs {
 	}
 	sort.Ints(ckpts)
 
+	// Tuple-major: the checkpoint grid is innermost, so each offload
+	// tuple's knobs are adjacent and the analyzer resolves its
+	// interference regions once for all of its checkpoint counts.
 	var knobs []schedule.Knobs
-	for _, ck := range ckpts {
-		for _, wo := range woGrid {
-			for _, gov := range goGrid {
-				for _, oo := range ooGrid {
-					for _, ao := range aoGrid {
+	for _, wo := range woGrid {
+		for _, gov := range goGrid {
+			for _, oo := range ooGrid {
+				for _, ao := range aoGrid {
+					for _, ck := range ckpts {
 						knobs = append(knobs, schedule.Knobs{
 							Layers: layers, Ckpt: ck, WO: wo, GO: gov, OO: oo, AO: ao,
 						})

@@ -15,8 +15,13 @@
 //
 // Knob-dependent quantities are built once per stage shape as symbolic
 // expressions over (l, ckpt, wo, go, oo, ao) and compiled for batched
-// evaluation (§5.2's batched value substitution); the interference model
-// is then applied numerically to the evaluated channel aggregates.
+// evaluation (§5.2's batched value substitution). A knob batch is priced
+// by one column sweep of that program; the interference model is then
+// applied numerically to the evaluated channel aggregates, once per
+// offload tuple (wo, go, oo, ao) for its eight overlapped regions, and
+// each knob's times are a linear combination of those regions in
+// (l-ckpt, ckpt). Knobs sharing a tuple therefore price fastest when
+// adjacent in the batch.
 package schedule
 
 import (
@@ -123,7 +128,7 @@ func (k Knobs) Validate() error {
 		return fmt.Errorf("schedule: invalid layers=%d ckpt=%d", k.Layers, k.Ckpt)
 	}
 	for _, r := range []float64{k.WO, k.GO, k.OO, k.AO} {
-		if r < 0 || r > 1 {
+		if !(r >= 0 && r <= 1) { // also rejects NaN, which fails every comparison
 			return fmt.Errorf("schedule: offload ratio %v outside [0,1]", r)
 		}
 	}
@@ -185,6 +190,8 @@ type stageProgram struct {
 	agTime           float64 // ZeRO-3 per-layer param all-gather (per pass)
 	rsTime           float64 // ZeRO>=2 per-layer grad reduce-scatter (bwd)
 	arGradLayer      float64 // ZeRO<2 per-layer grad all-reduce (last microbatch)
+	lastAllReduce    bool    // DP>1 and ZeRO<2: that all-reduce overlaps the last backward
+	regather         float64 // ZeRO-1/2 per-layer re-gather of updated shards after the step
 	preFwd, preBwd   float64
 	postFwd, postBwd float64
 	p2pTime          float64
@@ -311,6 +318,12 @@ func (a *Analyzer) build(shape StageShape) *stageProgram {
 		sp.rsTime = cl.ReduceScatterTime(BytesGrad*paramsShardable, shape.DP)
 	} else {
 		sp.arGradLayer = cl.AllReduceTime(BytesGrad*paramsShardable, shape.DP)
+		sp.lastAllReduce = sp.arGradLayer > 0 && shape.DP > 1
+	}
+	// ZeRO-1/2 re-gather the updated parameter shards once after the
+	// step; ZeRO-3 already gathers every microbatch (the stable time).
+	if shape.ZeRO == 1 || shape.ZeRO == 2 {
+		sp.regather = cl.AllGatherTime(BytesParam*float64(a.Model.ParamsPerLayer())/float64(shape.TP), shape.DP)
 	}
 
 	// Pre/post sections (traced, plus one serial TP all-reduce each).
@@ -538,12 +551,13 @@ func (a *Analyzer) Evaluate(shape StageShape, k Knobs) (Result, error) {
 
 // EvalScratch holds the reusable buffers of one evaluation stream. One
 // scratch belongs to one goroutine at a time (callers in worker pools own
-// one per worker); the zero value is ready to use and the buffers grow to
-// the largest program seen.
+// one per worker); the zero value is ready to use. Its buffers grow to
+// at most one column block (symbolic.ColumnBlock knob frames) of the
+// largest program seen, whatever the batch length.
 type EvalScratch struct {
-	regs  []float64
-	out   []float64
-	frame []float64
+	cols []float64 // knob columns of one block, variable-major
+	regs []float64 // column register file
+	out  []float64 // per-frame output rows of one block
 }
 
 // EvaluateBatch prices many knob candidates under one shape with a single
@@ -557,87 +571,143 @@ func (a *Analyzer) EvaluateBatch(shape StageShape, ks []Knobs) ([]Result, error)
 // buffers: dst is reused when its capacity suffices (the returned slice
 // aliases it), and sc's internal buffers persist across calls. The hot
 // tuning path calls this once per (shape, layer count) with per-worker
-// scratch, eliminating the four per-call allocations of the naive form.
+// scratch.
+//
+// A batch costs one column sweep of the symbolic program plus one
+// interference resolution per run of adjacent knobs sharing an offload
+// tuple (WO, GO, OO, AO): the eight overlapped regions depend on nothing
+// else, so knobs that differ only in Layers or Ckpt reuse them. Callers
+// price fastest when such knobs are adjacent; any order gives the same
+// results.
 func (a *Analyzer) EvaluateBatchInto(dst []Result, shape StageShape, ks []Knobs, sc *EvalScratch) ([]Result, error) {
 	sp := a.program(shape)
 	if sp.err != nil {
 		return nil, sp.err
 	}
+	for _, k := range ks {
+		if err := k.Validate(); err != nil {
+			return nil, err
+		}
+	}
 	if cap(dst) < len(ks) {
 		dst = make([]Result, len(ks))
 	}
 	results := dst[:len(ks)]
-	if cap(sc.out) < numOutputs {
-		sc.out = make([]float64, numOutputs)
+	const block = symbolic.ColumnBlock
+	if m := min(len(ks), block); cap(sc.cols) < len(knobVars)*m || cap(sc.out) < numOutputs*m {
+		sc.cols = make([]float64, len(knobVars)*m)
+		sc.out = make([]float64, numOutputs*m)
 	}
-	if cap(sc.frame) < len(knobVars) {
-		sc.frame = make([]float64, len(knobVars))
-	}
-	if n := sp.prog.NumRegs(); cap(sc.regs) < n {
+	if n := sp.prog.ColumnRegs(len(ks)); cap(sc.regs) < n {
 		sc.regs = make([]float64, n)
 	}
-	out, frame := sc.out[:numOutputs], sc.frame[:len(knobVars)]
-	for i, k := range ks {
-		if err := k.Validate(); err != nil {
-			return nil, err
+	var (
+		r      regions
+		tuple  offloadTuple
+		primed bool
+	)
+	for lo := 0; lo < len(ks); lo += block {
+		batch := ks[lo:min(lo+block, len(ks))]
+		m := len(batch)
+		cols := sc.cols[:len(knobVars)*m]
+		for j, k := range batch {
+			cols[j] = float64(k.Layers)
+			cols[m+j] = float64(k.Ckpt)
+			cols[2*m+j] = k.WO
+			cols[3*m+j] = k.GO
+			cols[4*m+j] = k.OO
+			cols[5*m+j] = k.AO
 		}
-		frame[0] = float64(k.Layers)
-		frame[1] = float64(k.Ckpt)
-		frame[2] = k.WO
-		frame[3] = k.GO
-		frame[4] = k.OO
-		frame[5] = k.AO
-		out = sp.prog.EvalFrame(frame, sc.regs, out)
-		results[i] = a.compose(shape, k, sp, out)
+		out := sp.prog.EvalColumns(cols, m, sc.regs, sc.out)
+		for j, k := range batch {
+			row := out[j*numOutputs : (j+1)*numOutputs]
+			if t := k.offloadTuple(); !primed || t != tuple {
+				r, tuple, primed = a.regions(sp, row), t, true
+			}
+			results[lo+j] = sp.combine(k, &r, row)
+		}
 	}
 	return results, nil
 }
 
-// compose applies the interference model to the evaluated channel
-// aggregates, producing t, d, and peak memory for one candidate.
-func (a *Analyzer) compose(shape StageShape, k Knobs, sp *stageProgram, out []float64) Result {
-	nonCkpt := float64(k.Layers - k.Ckpt)
-	ckpt := float64(k.Ckpt)
+// offloadTuple is the part of a knob the interference regions depend on,
+// compared bit for bit: equal tuples evaluate to identical channel
+// outputs and hence identical regions.
+type offloadTuple [4]uint64
 
+func (k Knobs) offloadTuple() offloadTuple {
+	return offloadTuple{math.Float64bits(k.WO), math.Float64bits(k.GO), math.Float64bits(k.OO), math.Float64bits(k.AO)}
+}
+
+// regions are the per-layer overlapped regions of one offload tuple, each
+// a serial TP all-reduce plus the interference-resolved overlap of its
+// concurrent channels, for a non-checkpointed (N) and a checkpointed (C)
+// layer. They depend on the shape and the tuple only; a knob's times are
+// linear combinations of them in (Layers-Ckpt, Ckpt).
+type regions struct {
+	fwdN, fwdC           float64 // stable forward
+	bwdN, bwdC           float64 // stable backward
+	fwdFirstN, fwdFirstC float64 // first forward, repositioned optimizer step overlapped
+	bwdLastN, bwdLastC   float64 // last backward, gradient all-reduce overlapped (lastAllReduce only)
+}
+
+// regions resolves the eight overlapped regions of one offload tuple
+// from a frame's evaluated channel aggregates.
+func (a *Analyzer) regions(sp *stageProgram, out []float64) regions {
+	var r regions
 	// Stable forward: per-layer region = serial TP all-reduce + overlapped
 	// {compute, ZeRO-3 gather (next layer), weight prefetch, activation
 	// offload}.
-	fwdN := sp.tpARFwd + a.overlap(interference.Times{sp.cFwd, sp.agTime, out[outH2DFwdN], out[outD2HFwdN]})
-	fwdC := sp.tpARFwd + a.overlap(interference.Times{sp.cFwd, sp.agTime, out[outH2DFwdC], out[outD2HFwdC]})
-	fwdStage := nonCkpt*fwdN + ckpt*fwdC + sp.preFwd + sp.postFwd + sp.p2pTime
+	r.fwdN = sp.tpARFwd + a.overlap(interference.Times{sp.cFwd, sp.agTime, out[outH2DFwdN], out[outD2HFwdN]})
+	r.fwdC = sp.tpARFwd + a.overlap(interference.Times{sp.cFwd, sp.agTime, out[outH2DFwdC], out[outD2HFwdC]})
 
 	// Stable backward: non-checkpointed layers run bwd compute overlapped
 	// with re-gather + reduce-scatter + refetch + gradient offload;
 	// checkpointed layers prepend recomputation (fwd compute + fwd TP
 	// all-reduces).
-	bwdN := sp.tpARBwd + a.overlap(interference.Times{sp.cBwd, sp.agTime + sp.rsTime, out[outH2DBwdN], out[outD2HBwdN]})
-	bwdC := sp.tpARBwd + sp.tpARFwd + a.overlap(interference.Times{
+	r.bwdN = sp.tpARBwd + a.overlap(interference.Times{sp.cBwd, sp.agTime + sp.rsTime, out[outH2DBwdN], out[outD2HBwdN]})
+	r.bwdC = sp.tpARBwd + sp.tpARFwd + a.overlap(interference.Times{
 		sp.cBwd + sp.cFwd, 2*sp.agTime + sp.rsTime, out[outH2DBwdC], out[outD2HBwdC]})
-	bwdStage := nonCkpt*bwdN + ckpt*bwdC + sp.preBwd + sp.postBwd + sp.p2pTime
 
-	stable := fwdStage + bwdStage
-
-	// First microbatch: repositioned optimizer steps overlap the forward;
-	// the first layer's prefetch/gather is exposed.
-	fwdFirstN := sp.tpARFwd + a.overlap(interference.Times{
+	// First microbatch: repositioned optimizer steps overlap the forward.
+	r.fwdFirstN = sp.tpARFwd + a.overlap(interference.Times{
 		sp.cFwd + out[outStepGPULayer],
 		sp.agTime,
 		out[outH2DFwdN] + out[outStepH2DLayer],
 		out[outD2HFwdN] + out[outStepD2HLayer],
 	})
-	fwdFirstC := sp.tpARFwd + a.overlap(interference.Times{
+	r.fwdFirstC = sp.tpARFwd + a.overlap(interference.Times{
 		sp.cFwd + out[outStepGPULayer],
 		sp.agTime,
 		out[outH2DFwdC] + out[outStepH2DLayer],
 		out[outD2HFwdC] + out[outStepD2HLayer],
 	})
-	firstFwdStage := nonCkpt*fwdFirstN + ckpt*fwdFirstC + sp.preFwd + sp.postFwd + sp.p2pTime
+
+	// Last microbatch: under plain DP / ZeRO-1 the full gradient
+	// all-reduce fires once, overlapped with the last backward.
+	if sp.lastAllReduce {
+		r.bwdLastN = sp.tpARBwd + a.overlap(interference.Times{sp.cBwd, sp.arGradLayer, out[outH2DBwdN], out[outD2HBwdN]})
+		r.bwdLastC = sp.tpARBwd + sp.tpARFwd + a.overlap(interference.Times{
+			sp.cBwd + sp.cFwd, sp.arGradLayer, out[outH2DBwdC], out[outD2HBwdC]})
+	}
+	return r
+}
+
+// combine produces t, d, and peak memory for one candidate from its
+// tuple's regions and its evaluated outputs.
+func (sp *stageProgram) combine(k Knobs, r *regions, out []float64) Result {
+	nonCkpt := float64(k.Layers - k.Ckpt)
+	ckpt := float64(k.Ckpt)
+
+	fwdStage := nonCkpt*r.fwdN + ckpt*r.fwdC + sp.preFwd + sp.postFwd + sp.p2pTime
+	bwdStage := nonCkpt*r.bwdN + ckpt*r.bwdC + sp.preBwd + sp.postBwd + sp.p2pTime
+	stable := fwdStage + bwdStage
+
+	// First microbatch: the first layer's prefetch/gather is exposed.
+	firstFwdStage := nonCkpt*r.fwdFirstN + ckpt*r.fwdFirstC + sp.preFwd + sp.postFwd + sp.p2pTime
 	exposedPrefetch := sp.agTime + out[outH2DFwdN] // first layer cannot hide behind anything
-	// ZeRO-1/2 re-gather updated parameter shards once after the step;
-	// ZeRO-3 already gathers every microbatch (counted in the stable time).
-	if shape.ZeRO == 1 || shape.ZeRO == 2 {
-		exposedPrefetch += float64(k.Layers) * a.Cluster.AllGatherTime(
-			BytesParam*float64(a.Model.ParamsPerLayer())/float64(shape.TP), shape.DP)
+	if sp.regather > 0 {
+		exposedPrefetch += float64(k.Layers) * sp.regather
 	}
 	// CPU Adam for the offloaded fraction runs on a single serial host
 	// stream concurrently with the first forward pass, but layer k's step
@@ -645,19 +715,14 @@ func (a *Analyzer) compose(shape StageShape, k Knobs, sp *stageProgram, out []fl
 	// the GPU's concurrent work (at least one layer's step is exposed).
 	exposedCPUStep := 0.0
 	if cpuTotal := float64(k.Layers) * out[outStepCPULayer]; cpuTotal > 0 {
-		hideCapacity := math.Max(0, firstFwdStage-fwdFirstN)
+		hideCapacity := math.Max(0, firstFwdStage-r.fwdFirstN)
 		exposedCPUStep = math.Max(out[outStepCPULayer], cpuTotal-hideCapacity)
 	}
 	firstExtra := (firstFwdStage - fwdStage) + exposedPrefetch + exposedCPUStep
 
-	// Last microbatch: under plain DP / ZeRO-1 the full gradient
-	// all-reduce fires once, overlapped with the last backward.
 	lastExtra := 0.0
-	if sp.arGradLayer > 0 && shape.DP > 1 {
-		bwdLastN := sp.tpARBwd + a.overlap(interference.Times{sp.cBwd, sp.arGradLayer, out[outH2DBwdN], out[outD2HBwdN]})
-		bwdLastC := sp.tpARBwd + sp.tpARFwd + a.overlap(interference.Times{
-			sp.cBwd + sp.cFwd, sp.arGradLayer, out[outH2DBwdC], out[outD2HBwdC]})
-		lastBwdStage := nonCkpt*bwdLastN + ckpt*bwdLastC + sp.preBwd + sp.postBwd + sp.p2pTime
+	if sp.lastAllReduce {
+		lastBwdStage := nonCkpt*r.bwdLastN + ckpt*r.bwdLastC + sp.preBwd + sp.postBwd + sp.p2pTime
 		lastExtra = lastBwdStage - bwdStage
 	}
 	if lastExtra < 0 {

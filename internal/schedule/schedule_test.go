@@ -60,8 +60,23 @@ func TestKnobsValidate(t *testing.T) {
 	if err := (Knobs{Layers: 4, Ckpt: 2, AO: -0.1}).Validate(); err == nil {
 		t.Error("negative ratio accepted")
 	}
+	for _, k := range []Knobs{
+		{Layers: 4, WO: math.NaN()},
+		{Layers: 4, GO: math.NaN()},
+		{Layers: 4, OO: math.NaN()},
+		{Layers: 4, AO: math.NaN()},
+		{Layers: 4, WO: math.Inf(1)},
+		{Layers: 4, AO: math.Inf(-1)},
+	} {
+		if err := k.Validate(); err == nil {
+			t.Errorf("non-finite ratio accepted: %+v", k)
+		}
+	}
 	if err := baseKnobs().Validate(); err != nil {
 		t.Errorf("valid knobs rejected: %v", err)
+	}
+	if err := (Knobs{Layers: 4, Ckpt: 4, WO: 1, GO: 0, OO: math.Copysign(0, -1), AO: 0.5}).Validate(); err != nil {
+		t.Errorf("boundary ratios rejected: %v", err)
 	}
 }
 
@@ -259,31 +274,6 @@ func TestTPAllReduceCostFalconVsGPT(t *testing.T) {
 	}
 }
 
-func TestBatchMatchesSingle(t *testing.T) {
-	a := newTestAnalyzer(t, "gpt3-2.7b", 4, true)
-	shape := baseShape()
-	ks := []Knobs{
-		{Layers: 32, Ckpt: 0},
-		{Layers: 32, Ckpt: 16, AO: 0.5},
-		{Layers: 16, Ckpt: 8, WO: 0.25, GO: 0.5, OO: 0.75, AO: 1},
-	}
-	batch, err := a.EvaluateBatch(shape, ks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, k := range ks {
-		single, err := a.Evaluate(shape, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(single.Stable-batch[i].Stable) > 1e-12 ||
-			math.Abs(single.PeakMem-batch[i].PeakMem) > 1e-6 ||
-			math.Abs(single.Delta-batch[i].Delta) > 1e-12 {
-			t.Errorf("candidate %d: batch %+v != single %+v", i, batch[i], single)
-		}
-	}
-}
-
 func TestPrePostAddCost(t *testing.T) {
 	a := newTestAnalyzer(t, "gpt3-2.7b", 4, true)
 	k := Knobs{Layers: 8, Ckpt: 0}
@@ -435,26 +425,48 @@ func TestPropertyMonotoneInLayers(t *testing.T) {
 	}
 }
 
+// BenchmarkEvaluateBatch prices one 81-point knob batch (nine checkpoint
+// counts crossed with nine (AO, OO) tuples) through the tuner's
+// buffer-reusing path, in two orders: ckpt-major, where consecutive knobs
+// never share an offload tuple, and the tuner's tuple-major order, where
+// each tuple's interference regions serve all nine checkpoint counts.
 func BenchmarkEvaluateBatch(b *testing.B) {
 	a := newTestAnalyzer(b, "gpt3-7b", 8, true)
 	shape := baseShape()
-	var ks []Knobs
+	var ckptMajor, tupleMajor []Knobs
 	for ck := 0; ck <= 32; ck += 4 {
 		for _, ao := range []float64{0, 0.5, 1} {
 			for _, oo := range []float64{0, 0.5, 1} {
-				ks = append(ks, Knobs{Layers: 32, Ckpt: ck, AO: ao, OO: oo})
+				ckptMajor = append(ckptMajor, Knobs{Layers: 32, Ckpt: ck, AO: ao, OO: oo})
 			}
 		}
 	}
-	// Warm the trace/compile cache.
-	if _, err := a.EvaluateBatch(shape, ks); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := a.EvaluateBatch(shape, ks); err != nil {
-			b.Fatal(err)
+	for _, ao := range []float64{0, 0.5, 1} {
+		for _, oo := range []float64{0, 0.5, 1} {
+			for ck := 0; ck <= 32; ck += 4 {
+				tupleMajor = append(tupleMajor, Knobs{Layers: 32, Ckpt: ck, AO: ao, OO: oo})
+			}
 		}
+	}
+	for _, bc := range []struct {
+		name string
+		ks   []Knobs
+	}{{"ckpt-major", ckptMajor}, {"tuple-major", tupleMajor}} {
+		b.Run(bc.name, func(b *testing.B) {
+			var sc EvalScratch
+			// Warm the trace/compile cache and the buffers.
+			dst, err := a.EvaluateBatchInto(nil, shape, bc.ks, &sc)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if dst, err = a.EvaluateBatchInto(dst, shape, bc.ks, &sc); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(bc.ks)), "ns/point")
+		})
 	}
 }

@@ -134,7 +134,8 @@ func (p *Program) lower(e *Expr, cache map[*Expr]int, structural map[string]int)
 // NumOutputs returns the number of compiled expressions.
 func (p *Program) NumOutputs() int { return len(p.outputs) }
 
-// Vars returns the positional symbol order expected by EvalFrame/EvalBatch.
+// Vars returns the positional symbol order expected by EvalFrame and
+// EvalColumns.
 func (p *Program) Vars() []string { return append([]string(nil), p.vars...) }
 
 // EvalFrame evaluates all compiled expressions for one configuration frame.
@@ -201,16 +202,131 @@ func (p *Program) EvalFrame(frame []float64, regs, out []float64) []float64 {
 	return out
 }
 
-// EvalBatch evaluates all compiled expressions over a batch of frames,
-// returning one row of outputs per frame.
-func (p *Program) EvalBatch(frames [][]float64) [][]float64 {
-	out := make([][]float64, len(frames))
-	regs := make([]float64, p.numRegs)
-	for i, f := range frames {
-		out[i] = p.EvalFrame(f, regs, nil)
+// ColumnBlock is the number of frames EvalColumns pushes through each
+// tape pass. A fixed block bounds the column register file at
+// NumRegs()*ColumnBlock values however long the batch is, while still
+// amortizing each instruction's dispatch over many frames.
+const ColumnBlock = 32
+
+// EvalColumns evaluates all compiled expressions over n frames at once.
+// cols holds the frames column-major: variable v of frame j is
+// cols[v*n+j]. Output i of frame j is written to out[j*NumOutputs()+i],
+// so each frame's outputs form one contiguous row laid out like
+// EvalFrame's; out is reused when large enough and returned.
+//
+// The tape runs once per block of up to ColumnBlock frames. Within a
+// block of m frames register r of frame j lives at regs[r*m+j], so every
+// instruction is a tight loop over contiguous values. regs is reused
+// when it holds ColumnRegs(n) values and allocated otherwise. Each frame's
+// outputs equal EvalFrame's bit for bit: every frame sees the same
+// operations in the same order.
+func (p *Program) EvalColumns(cols []float64, n int, regs, out []float64) []float64 {
+	if len(cols) != len(p.vars)*n {
+		panic(fmt.Sprintf("symbolic: %d column values for %d frames of %d variables", len(cols), n, len(p.vars)))
+	}
+	if need := p.ColumnRegs(n); cap(regs) < need {
+		regs = make([]float64, need)
+	}
+	nout := len(p.outputs)
+	if cap(out) < nout*n {
+		out = make([]float64, nout*n)
+	}
+	out = out[:nout*n]
+	for lo := 0; lo < n; lo += ColumnBlock {
+		m := min(n-lo, ColumnBlock)
+		p.evalBlock(cols, n, lo, m, regs[:p.numRegs*m])
+		for j := 0; j < m; j++ {
+			row := out[(lo+j)*nout : (lo+j+1)*nout]
+			for i, reg := range p.outputs {
+				row[i] = regs[reg*m+j]
+			}
+		}
 	}
 	return out
 }
+
+// evalBlock runs the tape over frames lo..lo+m of an n-frame column
+// batch into the block register file regs (register r at regs[r*m:]).
+// Each operation mirrors EvalFrame's, including the accumulator seeds,
+// so a block frame and a single frame round identically.
+func (p *Program) evalBlock(cols []float64, n, lo, m int, regs []float64) {
+	reg := func(r int) []float64 { return regs[r*m : r*m+m] }
+	for i := range p.insts {
+		in := &p.insts[i]
+		dst := reg(in.dst)
+		switch in.op {
+		case iConst:
+			for j := range dst {
+				dst[j] = in.val
+			}
+		case iLoad:
+			copy(dst, cols[in.src*n+lo:in.src*n+lo+m])
+		case iAdd:
+			// 0 + x, not x: the seed turns -0 into +0 as EvalFrame's does.
+			first := reg(in.args[0])[:len(dst)]
+			for j := range dst {
+				dst[j] = 0 + first[j]
+			}
+			for _, a := range in.args[1:] {
+				src := reg(a)[:len(dst)]
+				for j := range dst {
+					dst[j] += src[j]
+				}
+			}
+		case iMul:
+			first := reg(in.args[0])[:len(dst)]
+			for j := range dst {
+				dst[j] = 1 * first[j]
+			}
+			for _, a := range in.args[1:] {
+				src := reg(a)[:len(dst)]
+				for j := range dst {
+					dst[j] *= src[j]
+				}
+			}
+		case iDiv:
+			num, den := reg(in.args[0])[:len(dst)], reg(in.args[1])[:len(dst)]
+			for j := range dst {
+				dst[j] = num[j] / den[j]
+			}
+		case iCeil:
+			src := reg(in.src)[:len(dst)]
+			for j := range dst {
+				dst[j] = math.Ceil(roundEps(src[j]))
+			}
+		case iFloor:
+			src := reg(in.src)[:len(dst)]
+			for j := range dst {
+				dst[j] = math.Floor(roundEps(src[j]))
+			}
+		case iMax:
+			copy(dst, reg(in.args[0]))
+			for _, a := range in.args[1:] {
+				src := reg(a)[:len(dst)]
+				for j := range dst {
+					if v := src[j]; v > dst[j] {
+						dst[j] = v
+					}
+				}
+			}
+		case iMin:
+			copy(dst, reg(in.args[0]))
+			for _, a := range in.args[1:] {
+				src := reg(a)[:len(dst)]
+				for j := range dst {
+					if v := src[j]; v < dst[j] {
+						dst[j] = v
+					}
+				}
+			}
+		}
+	}
+}
+
+// ColumnRegs reports the register-file length EvalColumns needs for n
+// frames, for callers that keep a reusable buffer. It stops growing at
+// one block.
+func (p *Program) ColumnRegs(n int) int { return p.numRegs * min(n, ColumnBlock) }
 
 // Scratch returns a register scratch buffer sized for this program, for
 // callers that drive EvalFrame in a hot loop.

@@ -208,15 +208,84 @@ func TestCompileDuplicateVar(t *testing.T) {
 
 func TestEvalBatch(t *testing.T) {
 	x := Var("x")
-	prog := MustCompile([]*Expr{Mul(x, x)}, []string{"x"})
-	frames := [][]float64{{1}, {2}, {3}, {4}}
-	rows := prog.EvalBatch(frames)
-	for i, row := range rows {
-		want := float64((i + 1) * (i + 1))
-		if row[0] != want {
-			t.Errorf("batch row %d: got %v, want %v", i, row[0], want)
+	prog := MustCompile([]*Expr{Mul(x, x), Add(x, Const(1))}, []string{"x"})
+	cols := []float64{1, 2, 3, 4}
+	out := prog.EvalColumns(cols, len(cols), nil, nil)
+	if len(out) != 2*len(cols) {
+		t.Fatalf("got %d outputs, want %d", len(out), 2*len(cols))
+	}
+	for j, x := range cols {
+		if sq, inc := out[2*j], out[2*j+1]; sq != x*x || inc != x+1 {
+			t.Errorf("frame %d: got (%v, %v), want (%v, %v)", j, sq, inc, x*x, x+1)
 		}
 	}
+}
+
+// TestPropertyColumnsMatchFrame: the column evaluator reproduces
+// EvalFrame bit for bit on random programs, for batch lengths around the
+// block boundary (empty, single, one short of a block, one block, one
+// past it), with one register file reused across every length.
+func TestPropertyColumnsMatchFrame(t *testing.T) {
+	vars := []string{"a", "b", "c"}
+	lengths := []int{0, 1, ColumnBlock - 1, ColumnBlock, ColumnBlock + 1, 2*ColumnBlock + 3}
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		exprs := []*Expr{randExpr(rng, 5), randExpr(rng, 4), randExpr(rng, 3)}
+		prog, err := Compile(exprs, vars)
+		if err != nil {
+			return false
+		}
+		regs := make([]float64, prog.ColumnRegs(ColumnBlock+1))
+		frameRegs := prog.Scratch()
+		for _, n := range lengths {
+			frames := make([][]float64, n)
+			cols := make([]float64, len(vars)*n)
+			for j := range frames {
+				frames[j] = make([]float64, len(vars))
+				for v := range vars {
+					var x float64
+					switch rng.Intn(8) {
+					case 0: // signed zeros and negatives reach every rounding corner
+						x = []float64{0, math.Copysign(0, -1), -3, -0.5}[rng.Intn(4)]
+					case 1, 2, 3:
+						x = 1 + 49*rng.Float64()
+					default:
+						x = float64(rng.Intn(50) + 1)
+					}
+					frames[j][v] = x
+					cols[v*n+j] = x
+				}
+			}
+			out := prog.EvalColumns(cols, n, regs, nil)
+			if len(out) != n*prog.NumOutputs() {
+				t.Logf("n=%d: %d outputs, want %d", n, len(out), n*prog.NumOutputs())
+				return false
+			}
+			for j, frame := range frames {
+				want := prog.EvalFrame(frame, frameRegs, nil)
+				for i, w := range want {
+					if got := out[j*prog.NumOutputs()+i]; math.Float64bits(got) != math.Float64bits(w) {
+						t.Logf("seed %d n=%d frame %d output %d: columns %v, frame %v (%s)", seed, n, j, i, got, w, exprs[i])
+						return false
+					}
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestEvalColumnsRejectsShortInput(t *testing.T) {
+	prog := MustCompile([]*Expr{Var("x")}, []string{"x", "y"})
+	defer func() {
+		if recover() == nil {
+			t.Error("EvalColumns accepted 3 values for 2 frames of 2 variables")
+		}
+	}()
+	prog.EvalColumns([]float64{1, 2, 3}, 2, nil, nil)
 }
 
 func TestMergeVars(t *testing.T) {
@@ -399,4 +468,24 @@ func BenchmarkEvalCompiled(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		prog.EvalFrame(frame, regs, out)
 	}
+}
+
+// BenchmarkEvalColumns is BenchmarkEvalCompiled's program over one full
+// column block; ns/frame is directly comparable to EvalCompiled's ns/op.
+func BenchmarkEvalColumns(b *testing.B) {
+	rng := rand.New(rand.NewSource(7))
+	e := randExpr(rng, 8)
+	prog := MustCompile([]*Expr{e}, []string{"a", "b", "c"})
+	n := ColumnBlock
+	cols := make([]float64, 3*n)
+	for j := 0; j < n; j++ {
+		cols[j], cols[n+j], cols[2*n+j] = 3, 5, float64(7+j)
+	}
+	regs := make([]float64, prog.ColumnRegs(n))
+	out := make([]float64, n)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		prog.EvalColumns(cols, n, regs, out)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/frame")
 }
