@@ -1,9 +1,9 @@
 // Command mistserve runs the Mist tuning service: a concurrent HTTP/JSON
-// API over the auto-tuner and the execution engine, with a plan cache
-// keyed by (workload, cluster, space) so repeated requests are answered
-// instantly, an async job queue for batch tuning, and (with -store-dir)
-// a durable plan store that survives restarts. It shuts down gracefully
-// on SIGINT/SIGTERM, draining in-flight tuning requests.
+// API over the auto-tuner and the execution engine, with a bounded plan
+// store keyed by (workload, cluster, space) so repeated requests are
+// answered instantly (durable across restarts with -store-dir), and an
+// async job queue for batch tuning. It shuts down gracefully on
+// SIGINT/SIGTERM, draining in-flight tuning requests.
 //
 // Cluster mode comes in two flavors:
 //
@@ -71,7 +71,6 @@ func main() {
 		addr        = flag.String("addr", ":8080", "listen address")
 		grace       = flag.Duration("grace", 30*time.Second, "graceful-shutdown drain timeout")
 		storeDir    = flag.String("store-dir", "", "durable plan-store directory (empty: in-memory only)")
-		cacheCap    = flag.Int("cache-cap", 0, "in-memory plan-cache capacity (0: default 1024)")
 		workers     = flag.Int("workers", 0, "async job worker pool size (0: default 2)")
 		maxInflight = flag.Int("max-inflight", 0, "concurrently executing requests per endpoint class (0: GOMAXPROCS)")
 		maxQueue    = flag.Int("max-queue", 0, "admission wait-queue and async job-queue bound; overflow answers 429 (0: default 256)")
@@ -110,7 +109,6 @@ func main() {
 	defer stop()
 
 	opts := []serve.Option{
-		serve.WithCacheCap(*cacheCap),
 		serve.WithJobWorkers(*workers),
 		serve.WithLog(log.Printf),
 		serve.WithLimits(serve.Limits{
@@ -198,20 +196,15 @@ func main() {
 	if len(pool) > 0 {
 		opts = append(opts, serve.WithStandbyPool(pool))
 	}
-	if *storeDir != "" || clusterMode {
-		// Cluster mode always attaches a store (in-memory when no
-		// directory is given): replication, failover, and anti-entropy
-		// repair all move store records between nodes.
+	if *storeDir != "" {
 		st, err := store.Open(*storeDir)
 		if err != nil {
 			log.Fatal(err)
 		}
-		if *storeDir != "" {
-			if skipped := st.LoadSkipped(); skipped > 0 {
-				log.Printf("plan store: skipped %d unreadable documents in %s", skipped, *storeDir)
-			}
-			log.Printf("plan store: %d plans loaded from %s", st.Len(), *storeDir)
+		if skipped := st.LoadSkipped(); skipped > 0 {
+			log.Printf("plan store: skipped %d unreadable documents in %s", skipped, *storeDir)
 		}
+		log.Printf("plan store: %d plans loaded from %s", st.Len(), *storeDir)
 		opts = append(opts, serve.WithStore(st))
 	}
 

@@ -221,15 +221,15 @@ func runBatch(file, storeDir string, workers int) error {
 			case r.FromStore:
 				src = "plan store"
 			case r.Cached:
-				src = "plan cache"
+				src = "coalesced"
 			}
 			fmt.Printf("%-48s %8.2f samples/s  %8.0fms  %s\n",
 				tag, r.PredThroughput, r.ElapsedMS, src)
 		}
 	}
 	st := srv.Stats()
-	fmt.Printf("\nsearches run: %d  plan-cache hits: %d  store hits: %d  job dedups: %d\n",
-		st.TunesRun, st.PlanCacheHits, st.StoreHits, st.JobsDeduped)
+	fmt.Printf("\nsearches run: %d  coalesced: %d  store hits: %d  job dedups: %d\n",
+		st.TunesRun, st.TuneCoalesced, st.StoreHits, st.JobsDeduped)
 	if failed > 0 {
 		return fmt.Errorf("%d of %d workloads failed", failed, len(subs))
 	}

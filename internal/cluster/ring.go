@@ -3,10 +3,10 @@
 // the canonical plan fingerprints assigns each fingerprint an owner
 // plus R−1 replicas, non-owners transparently forward requests to the
 // owner, and active health checking (ok/suspect/down) routes around
-// dead peers. Together with the serving layer's plan-cache coalescing
-// and the plan store's write-through replication, the ring gives the
-// fleet cache locality: each unique workload fingerprint is tuned
-// exactly once cluster-wide, and any replica can serve an owner's
+// dead peers. Together with the serving layer's in-flight search
+// coalescing and the plan store's write-through replication, the ring
+// gives the fleet cache locality: each unique workload fingerprint is
+// tuned exactly once cluster-wide, and any replica can serve an owner's
 // fingerprints from its own store after a failover.
 package cluster
 

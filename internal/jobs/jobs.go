@@ -6,8 +6,8 @@
 // Submissions carry a dedup key: while a job for a key is still queued
 // or running, further submissions for the same key attach to it instead
 // of enqueuing duplicate work — the queue-level counterpart of the
-// serving layer's in-flight plan-cache coalescing (which still dedups
-// against *completed* work underneath).
+// serving layer's in-flight search coalescing (with the plan store
+// answering for *completed* work underneath).
 package jobs
 
 import (

@@ -60,7 +60,7 @@ func mustBody(v any) json.RawMessage {
 }
 
 // warmPool is the small fixed spec set behind the warm/repeat paths:
-// requests for these hit the plan cache (or coalesce) after first
+// requests for these hit the plan store (or coalesce) after first
 // contact. Cheap specs keep an in-process run CPU-light.
 var warmPool = []wireSpec{
 	{Model: "gpt3-1.3b", GPUs: 2, Batch: 8, Seq: 512, Space: "deepspeed"},
@@ -70,7 +70,7 @@ var warmPool = []wireSpec{
 }
 
 // coldModels rotate through the cold-storm path; seq varies per op so
-// every spec is a distinct plan-cache key (a fresh search).
+// every spec is a distinct plan-store key (a fresh search).
 var coldModels = []string{"gpt3-1.3b", "llama-1.3b", "falcon-1.3b"}
 
 // shardPool is the fixed fingerprint set behind the cluster scenarios
@@ -104,9 +104,9 @@ const coldSeqSteps = 4080
 func coldTuneOp(_ *rand.Rand, i int) Op {
 	// Every field derives from the op index, so the first
 	// len(coldModels)*2*coldSeqSteps (~24k) cold ops are pairwise
-	// distinct plan-cache keys — genuinely all search-path misses. (The
-	// default 1024-entry plan cache evicts long before a key repeats,
-	// so even wrapped runs stay miss-dominated.)
+	// distinct plan-store keys — genuinely all search-path misses. (The
+	// store's 1024-plan bound evicts long before a key repeats, so
+	// even wrapped runs stay miss-dominated.)
 	spec := wireSpec{
 		Model: coldModels[i%len(coldModels)],
 		GPUs:  2,
@@ -123,7 +123,7 @@ func warmTuneOp(rng *rand.Rand) Op {
 
 func simulateOp(rng *rand.Rand) Op {
 	// /simulate with no inline plan: tunes on demand through the plan
-	// cache, then executes on the engine — repeats hit the cache.
+	// store, then executes on the engine — repeats hit the store.
 	return Op{Kind: OpSimulate, Body: mustBody(warmPool[rng.Intn(len(warmPool))])}
 }
 
@@ -139,12 +139,12 @@ func jobSubmitOp(rng *rand.Rand) Op {
 var scenarios = []scenarioDef{
 	{
 		name: "cold-storm",
-		desc: "distinct specs per request: every tune is a plan-cache miss (search hot path)",
+		desc: "distinct specs per request: every tune is a plan-store miss (search hot path)",
 		next: func(rng *rand.Rand, i int) Op { return coldTuneOp(rng, i) },
 	},
 	{
 		name: "warm-repeat",
-		desc: "small fixed spec pool: repeats hit the plan cache / coalesce onto in-flight searches",
+		desc: "small fixed spec pool: repeats hit the plan store / coalesce onto in-flight searches",
 		next: func(rng *rand.Rand, i int) Op { return warmTuneOp(rng) },
 	},
 	{

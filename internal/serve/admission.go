@@ -206,6 +206,7 @@ func (s *Server) wrap(endpoint string, g *gate, h http.HandlerFunc) http.Handler
 		req = req.WithContext(ctx)
 		lid := logID(ctx)
 		sr := &statusRecorder{ResponseWriter: rw, code: http.StatusOK}
+		req.Body = http.MaxBytesReader(sr, req.Body, maxBodyBytes)
 		sr.Header().Set(cluster.HeaderRequestID, rid)
 		if s.cluster != nil {
 			sr.Header().Set(cluster.HeaderServedBy, s.cluster.Self())
@@ -279,7 +280,6 @@ func (s *Server) handleMetrics(rw http.ResponseWriter, req *http.Request) {
 		name string
 		val  float64
 	}{
-		{"mist_plan_cache_size", float64(st.PlanCacheSize)},
 		{"mist_plan_store_size", float64(st.StoreSize)},
 		{"mist_jobs_queue_depth", float64(st.QueueDepth)},
 		{"mist_jobs_busy_workers", float64(st.BusyWorkers)},
@@ -292,9 +292,9 @@ func (s *Server) handleMetrics(rw http.ResponseWriter, req *http.Request) {
 		val  uint64
 	}{
 		{"mist_tunes_run_total", st.TunesRun},
-		{"mist_plan_cache_hits_total", st.PlanCacheHits},
-		{"mist_plan_cache_evictions_total", st.PlanCacheEvictions},
+		{"mist_tune_coalesced_total", st.TuneCoalesced},
 		{"mist_store_hits_total", st.StoreHits},
+		{"mist_store_evictions_total", st.StoreEvictions},
 		{"mist_http_rejected_total", st.Rejected429},
 		{"mist_cluster_local_fallbacks_total", st.ClusterLocalFallbacks},
 	}

@@ -180,8 +180,14 @@ func TestRequestTimeoutAbortsSearch(t *testing.T) {
 		t.Errorf("deadline-bound request took %v", d)
 	}
 	// The failed search is not cached; a retry is admitted cleanly.
-	if st := s.Stats(); st.PlanCacheSize != 0 {
-		t.Errorf("timed-out search left a cache entry: %+v", st)
+	if st := s.Stats(); st.StoreSize != 0 {
+		t.Errorf("timed-out search left a store record: %+v", st)
+	}
+	s.mu.Lock()
+	inflight := len(s.flights)
+	s.mu.Unlock()
+	if inflight != 0 {
+		t.Errorf("timed-out search left %d in-flight entries", inflight)
 	}
 }
 
@@ -276,8 +282,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		`mist_http_request_seconds_count{endpoint="/tune"} 2`,
 		"# TYPE mist_http_request_seconds histogram",
 		"mist_tunes_run_total 1",
-		"mist_plan_cache_hits_total 1",
-		"mist_plan_cache_size 1",
+		"mist_store_hits_total 1",
+		"mist_plan_store_size 1",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("/metrics missing %q in:\n%s", want, out)

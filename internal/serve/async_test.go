@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -56,38 +57,45 @@ func TestBadRequestTable(t *testing.T) {
 			})
 		}
 	}
-	// Nothing was cached for failed requests and no searches ran.
-	if st := s.Stats(); st.PlanCacheSize != 0 || st.TunesRun != 0 {
+	// Nothing was stored for failed requests and no searches ran.
+	if st := s.Stats(); st.StoreSize != 0 || st.TunesRun != 0 {
 		t.Errorf("failed requests left state: %+v", st)
 	}
 }
 
-// TestCacheCapAndEvictions exercises WithCacheCap: filling the plan
-// cache past its bound evicts completed entries and counts them.
-func TestCacheCapAndEvictions(t *testing.T) {
-	s := New(WithCacheCap(2))
-	defer s.Close()
-	ts := httptest.NewServer(s.Handler())
+// TestOversizedBodiesRefused is the request-body bound: a body one byte
+// over maxBodyBytes answers 413 on every endpoint that reads one, never
+// 5xx, and runs no work. The body is one JSON object — a valid spec with
+// an unknown padding field — so a decoder must read all of it and only
+// the bound refuses it.
+func TestOversizedBodiesRefused(t *testing.T) {
+	lc, err := NewLocalCluster(LocalClusterOptions{Nodes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lc.Close()
+	ts := httptest.NewServer(lc.Handler("n1"))
 	defer ts.Close()
 
-	// Three distinct specs (different batch) through a 2-slot cache.
-	for _, b := range []int{8, 16, 32} {
-		spec := smallSpec()
-		spec.Batch = b
-		status, body := postJSON(t, ts.URL+"/tune", TuneRequest{WorkloadSpec: spec}, &TuneResponse{})
-		if status != http.StatusOK {
-			t.Fatalf("tune batch=%d: status %d body %s", b, status, body)
-		}
+	spec, _ := json.Marshal(smallSpec())
+	body := append(spec[:len(spec)-1], `,"pad":"`...)
+	body = append(body, bytes.Repeat([]byte("a"), maxBodyBytes+1-len(body)-2)...)
+	body = append(body, `"}`...)
+	for _, path := range []string{"/tune", "/simulate", "/jobs", "/cluster/replicate"} {
+		t.Run(path, func(t *testing.T) {
+			resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			if resp.StatusCode != http.StatusRequestEntityTooLarge {
+				msg, _ := io.ReadAll(resp.Body)
+				t.Errorf("status %d, want 413; body %.200s", resp.StatusCode, msg)
+			}
+		})
 	}
-	st := s.Stats()
-	if st.PlanCacheCap != 2 {
-		t.Errorf("cap = %d, want 2", st.PlanCacheCap)
-	}
-	if st.PlanCacheSize > 2 {
-		t.Errorf("cache size %d exceeds cap 2", st.PlanCacheSize)
-	}
-	if st.PlanCacheEvictions == 0 {
-		t.Error("no evictions counted after overflowing the cache")
+	if st := lc.Node("n1").Stats(); st.TunesRun != 0 || st.JobsSubmitted != 0 {
+		t.Errorf("oversized bodies ran work: %+v", st)
 	}
 }
 
@@ -270,7 +278,7 @@ func TestJobsLifecycle(t *testing.T) {
 		t.Errorf("worker count: %+v", st)
 	}
 	// The two distinct workloads ran exactly two searches (the dedup
-	// plus the plan cache kept everything else away from the tuner).
+	// plus the plan store kept everything else away from the tuner).
 	if st.TunesRun != 2 {
 		t.Errorf("tuner ran %d times, want 2", st.TunesRun)
 	}

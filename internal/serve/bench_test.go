@@ -67,8 +67,7 @@ func BenchmarkBatchSubmit(b *testing.B) {
 
 	b.Run("warm-store", func(b *testing.B) {
 		// One shared directory: the first fill pays, every measured op
-		// reuses it through a fresh server (fresh plan cache, cold
-		// memory, warm disk).
+		// reuses it through a fresh server (cold memory, warm disk).
 		dir := b.TempDir()
 		st, err := store.Open(dir)
 		if err != nil {
@@ -91,6 +90,9 @@ func BenchmarkBatchSubmit(b *testing.B) {
 		b.ReportMetric(float64(searches)/float64(b.N), "searches/op")
 	})
 
+	// no-store passes no WithStore, so each op runs on the server's
+	// default in-memory store, empty at the start of the op: a cold
+	// batch without disk writes.
 	b.Run("no-store", func(b *testing.B) {
 		searches := uint64(0)
 		for i := 0; i < b.N; i++ {

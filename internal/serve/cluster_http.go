@@ -306,13 +306,13 @@ func (s *Server) replicateRecord(ctx context.Context, rec store.Record) {
 // write is version-gated (stale versions are no-ops) and never
 // re-replicated.
 func (s *Server) handleReplicate(rw http.ResponseWriter, req *http.Request) {
-	if s.cluster == nil || s.store == nil {
+	if s.cluster == nil {
 		writeError(rw, http.StatusNotFound, fmt.Errorf("cluster replication not enabled"))
 		return
 	}
 	var rec store.Record
 	if err := json.NewDecoder(req.Body).Decode(&rec); err != nil {
-		writeError(rw, http.StatusBadRequest, fmt.Errorf("decoding record: %w", err))
+		writeBodyError(rw, "decoding record", err)
 		return
 	}
 	applied, err := s.store.Apply(rec)

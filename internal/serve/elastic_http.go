@@ -35,7 +35,7 @@ func (s *Server) handleClusterJoin(rw http.ResponseWriter, req *http.Request) {
 	}
 	var jr cluster.JoinRequest
 	if err := json.NewDecoder(req.Body).Decode(&jr); err != nil {
-		writeError(rw, http.StatusBadRequest, fmt.Errorf("decoding join request: %w", err))
+		writeBodyError(rw, "decoding join request", err)
 		return
 	}
 	view, changed, err := s.cluster.ProposeJoin(cluster.Member{ID: jr.ID, Addr: jr.Addr})
@@ -64,7 +64,7 @@ func (s *Server) handleClusterDrain(rw http.ResponseWriter, req *http.Request) {
 	}
 	var dr cluster.DrainRequest
 	if err := json.NewDecoder(req.Body).Decode(&dr); err != nil {
-		writeError(rw, http.StatusBadRequest, fmt.Errorf("decoding drain request: %w", err))
+		writeBodyError(rw, "decoding drain request", err)
 		return
 	}
 	drained, known := s.cluster.Member(dr.ID)
@@ -106,7 +106,7 @@ func (s *Server) handleClusterViewPost(rw http.ResponseWriter, req *http.Request
 	}
 	var v cluster.View
 	if err := json.NewDecoder(req.Body).Decode(&v); err != nil {
-		writeError(rw, http.StatusBadRequest, fmt.Errorf("decoding view: %w", err))
+		writeBodyError(rw, "decoding view", err)
 		return
 	}
 	adopted, err := s.cluster.AdoptView(v)
@@ -134,13 +134,13 @@ type fetchKeyRequest struct {
 // local store: 200 with the record, 404 when this node holds nothing
 // for the key. Read-only — a fetch never cascades.
 func (s *Server) handleClusterFetch(rw http.ResponseWriter, req *http.Request) {
-	if s.cluster == nil || s.store == nil {
+	if s.cluster == nil {
 		writeError(rw, http.StatusNotFound, fmt.Errorf("cluster record fetch not enabled"))
 		return
 	}
 	var fr fetchKeyRequest
 	if err := json.NewDecoder(req.Body).Decode(&fr); err != nil {
-		writeError(rw, http.StatusBadRequest, fmt.Errorf("decoding fetch request: %w", err))
+		writeBodyError(rw, "decoding fetch request", err)
 		return
 	}
 	rec, ok := s.store.GetByKey(fr.Key)
@@ -155,7 +155,7 @@ func (s *Server) handleClusterFetch(rw http.ResponseWriter, req *http.Request) {
 // rebalancer's pull source after a membership change (a fresh or
 // restarted node applies the subset it now replicates).
 func (s *Server) handleClusterRecords(rw http.ResponseWriter, req *http.Request) {
-	if s.cluster == nil || s.store == nil {
+	if s.cluster == nil {
 		writeError(rw, http.StatusNotFound, fmt.Errorf("cluster record listing not enabled"))
 		return
 	}

@@ -18,7 +18,7 @@ import (
 // its first searches; neither depends on the request, only on the
 // analyzer configuration. The registry keeps one calibrated analyzer
 // per analyzer-config fingerprint, shared by every search and /simulate
-// of that fingerprint, so a re-search (after plan-cache eviction, or for
+// of that fingerprint, so a re-search (after plan-store eviction, or for
 // a different global batch over the same model/platform) skips the fit
 // and starts with warm programs.
 //

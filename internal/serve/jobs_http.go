@@ -128,7 +128,7 @@ func (s *Server) submitJob(ctx context.Context, spec JobSpec, requestID string) 
 		case resp.FromStore:
 			emit("served from plan store")
 		case resp.Cached:
-			emit("served from plan cache")
+			emit("coalesced onto in-flight search")
 		default:
 			emit("search complete")
 		}
@@ -172,7 +172,7 @@ func (s *Server) CancelJob(id string) bool {
 func (s *Server) handleJobsSubmit(rw http.ResponseWriter, req *http.Request) {
 	body, err := io.ReadAll(req.Body)
 	if err != nil {
-		writeError(rw, http.StatusBadRequest, fmt.Errorf("reading request: %w", err))
+		writeBodyError(rw, "reading request", err)
 		return
 	}
 	var jr JobsSubmitRequest
@@ -183,7 +183,7 @@ func (s *Server) handleJobsSubmit(rw http.ResponseWriter, req *http.Request) {
 	rid := RequestIDFrom(req.Context())
 	if len(jr.Jobs) == 0 {
 		// Single-spec submissions are forwarded to the fingerprint's
-		// owner so the job record lives beside its plan-cache entry; a
+		// owner so the job record lives beside its plan; a
 		// batch is accepted locally and each task forwards its own tune.
 		if s.cluster != nil && !forwarded(req) {
 			spec := jr.JobSpec.WorkloadSpec

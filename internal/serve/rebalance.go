@@ -125,12 +125,11 @@ func (s *Server) setPullCaughtUp(ring ringID) {
 
 // RebalanceOnce runs one full repair pass (pull if the epoch moved,
 // then push/handoff) and reports what it did. Passes are serialized;
-// concurrent callers queue. A node without a cluster or store is a
-// no-op. The error return is reserved for a canceled context — per-peer
+// concurrent callers queue. A node without a cluster is a no-op. The error return is reserved for a canceled context — per-peer
 // failures are counted in the report and retried on a later pass.
 func (s *Server) RebalanceOnce(ctx context.Context) (RebalanceReport, error) {
 	var rep RebalanceReport
-	if s.cluster == nil || s.store == nil {
+	if s.cluster == nil {
 		return rep, nil
 	}
 	//mistlint:ignore lockio rbRunMu exists to serialize repair passes; it orders I/O rather than guarding state shared with request paths
@@ -364,10 +363,9 @@ func (s *Server) KickRebalance() {
 // interval, plus an immediate pass on every kick (membership changes
 // kick automatically). An interval <= 0 means kick-driven only — no
 // periodic passes. Starting twice restarts the loop; StopRebalancer
-// (or Close) ends it. A server without a cluster or store ignores the
-// call.
+// (or Close) ends it. A server without a cluster ignores the call.
 func (s *Server) StartRebalancer(interval time.Duration) {
-	if s.cluster == nil || s.store == nil {
+	if s.cluster == nil {
 		return
 	}
 	s.rbMu.Lock()

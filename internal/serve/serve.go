@@ -4,23 +4,23 @@
 //
 // Endpoints:
 //
-//	POST /tune       — tune a (workload, cluster, space) triple; responses
-//	                   are memoized in a plan cache so repeated requests
-//	                   (and concurrent duplicates, which coalesce onto one
-//	                   in-flight search) return instantly.
+//	POST /tune       — tune a (workload, cluster, space) triple; the plan
+//	                   store answers repeated requests instantly, and
+//	                   concurrent duplicates coalesce onto one in-flight
+//	                   search.
 //	POST /simulate   — execute a plan on the engine; the plan is either
 //	                   inlined in the request or tuned on demand through
-//	                   the same plan cache.
+//	                   the same path.
 //	POST /jobs       — submit one tuning job or a batch asynchronously;
 //	                   jobs run on a bounded priority worker pool.
 //	GET  /jobs       — list jobs; GET /jobs/{id} — status and result;
 //	DELETE /jobs/{id} — cancel (queued jobs immediately, running jobs via
 //	                   their context).
 //	GET  /healthz    — liveness probe.
-//	GET  /stats      — request counters, plan-cache occupancy/evictions,
-//	                   job-queue depth and worker utilization, plan-store
-//	                   size and hits, per-endpoint latency quantiles and
-//	                   status-code counts.
+//	GET  /stats      — request counters, job-queue depth and worker
+//	                   utilization, plan-store size, hits and evictions,
+//	                   per-endpoint latency quantiles and status-code
+//	                   counts.
 //	GET  /metrics    — Prometheus text exposition of the same counters
 //	                   and latency histograms.
 //
@@ -32,11 +32,15 @@
 // propagated through the tuner's context so abandoned searches stop
 // burning CPU (504 on expiry). See Limits.
 //
-// With a plan store attached (WithStore), every tuned plan is durably
-// written to disk and served back after a restart without re-searching.
+// A plan is a pure function of its fingerprint, so the plan store is the
+// one place a tuned plan is remembered: every server has one (in memory
+// unless WithStore attaches a directory-backed store, which serves plans
+// back after a restart without re-searching), bounded at a fixed record
+// count. Request bodies are bounded too (maxBodyBytes).
 //
-// The handler is safe for arbitrary concurrency: the plan cache is
-// mutex-guarded with per-key in-flight coalescing, and tuner runs share
+// The handler is safe for arbitrary concurrency: a store miss joins or
+// starts the fingerprint's in-flight search (a singleflight), and tuner
+// runs share
 // one calibrated, concurrency-safe analyzer per fingerprint (see
 // evalreg.go), so a re-search of a known analyzer configuration skips
 // calibration. That registry is bounded at a fixed entry count;
@@ -63,7 +67,6 @@ import (
 	"repro/internal/model"
 	"repro/internal/pilot"
 	"repro/internal/plan"
-	"repro/internal/schedule"
 	"repro/internal/slo"
 	"repro/internal/store"
 	"repro/internal/trace"
@@ -71,8 +74,8 @@ import (
 )
 
 // WorkloadSpec names a (workload, cluster, space) triple in wire form.
-// It is the plan-cache key: two requests with the same spec share one
-// tuned plan.
+// Its fingerprint is the plan store's key: two requests with the same
+// spec share one tuned plan.
 type WorkloadSpec struct {
 	Model    string `json:"model"`
 	Platform string `json:"platform"`      // "l4" (default) or "a100"
@@ -158,17 +161,15 @@ func (ws *WorkloadSpec) fingerprint() store.Fingerprint {
 	}
 }
 
-// key is the canonical plan-cache identity; normalize must have run so
-// defaults are resolved before keying. It equals the plan store's index
-// key, so the in-memory cache and the durable store agree about request
-// identity.
+// key is the plan store's index key; normalize must have run so
+// defaults are resolved before keying.
 func (ws *WorkloadSpec) key() string {
 	return ws.fingerprint().Key()
 }
 
 // CanonicalKey resolves the spec's defaults and returns its canonical
-// fingerprint key — the one identity shared by the plan cache, the
-// durable store, and cluster ring ownership. The receiver is a copy;
+// fingerprint key — the one identity shared by the in-flight searches,
+// the plan store, and cluster ring ownership. The receiver is a copy;
 // the caller's spec is left as written.
 func (ws WorkloadSpec) CanonicalKey() (string, error) {
 	if _, _, _, err := ws.normalize(); err != nil {
@@ -217,14 +218,14 @@ type TuneResponse struct {
 	EvalCacheMiss uint64  `json:"evalCacheMisses"`
 	EvalHitRate   float64 `json:"evalCacheHitRate"`
 
-	// Cached reports that the plan came from the serving-layer plan
-	// cache (including coalescing onto a concurrent identical request)
-	// rather than a fresh tuner run.
+	// Cached reports that this caller coalesced onto another caller's
+	// in-flight search for the same spec and got its result.
 	Cached bool `json:"cached"`
 
-	// FromStore reports that the plan was served from the durable plan
-	// store (a previous process tuned it) without running a search;
-	// StoreVersion is the stored record's write generation.
+	// FromStore reports that the plan was served from the plan store (an
+	// earlier request, a previous process or a peer tuned it) without
+	// running a search; StoreVersion is the stored record's write
+	// generation.
 	FromStore    bool `json:"fromStore,omitempty"`
 	StoreVersion int  `json:"storeVersion,omitempty"`
 
@@ -237,8 +238,8 @@ type TuneResponse struct {
 }
 
 // SimulateRequest is the /simulate body: a workload spec plus an
-// optional explicit plan. Without a plan the service tunes one (through
-// the plan cache) and executes it.
+// optional explicit plan. Without a plan the service tunes one (as /tune
+// does) and executes it.
 type SimulateRequest struct {
 	WorkloadSpec
 	Plan *plan.Plan `json:"plan,omitempty"`
@@ -261,24 +262,22 @@ type SimulateResponse struct {
 type Stats struct {
 	TuneRequests     uint64 `json:"tuneRequests"`
 	SimulateRequests uint64 `json:"simulateRequests"`
-	PlanCacheHits    uint64 `json:"planCacheHits"`
 	TunesRun         uint64 `json:"tunesRun"`
-	PlanCacheSize    int    `json:"planCacheSize"`
 
-	// Plan-cache pressure: the configured capacity and how many
-	// completed entries have been evicted to stay under it.
-	PlanCacheCap       int    `json:"planCacheCap"`
-	PlanCacheEvictions uint64 `json:"planCacheEvictions"`
+	// TuneCoalesced counts callers answered by another caller's
+	// in-flight search (Cached in their reply).
+	TuneCoalesced uint64 `json:"tuneCoalesced"`
 
 	// Cross-request analyzer registry: live analyzer-config
 	// fingerprints, and how many the entry bound has dropped.
 	Analyzers         int    `json:"analyzers"`
 	AnalyzerEvictions uint64 `json:"analyzerEvictions"`
 
-	// Durable plan store (zero-valued when no store is attached):
-	// indexed plans and exact-fingerprint hits served without a search.
-	StoreSize int    `json:"storeSize"`
-	StoreHits uint64 `json:"storeHits"`
+	// Plan store: indexed plans, requests answered from it without a
+	// search, and records dropped by its bound.
+	StoreSize      int    `json:"storeSize"`
+	StoreHits      uint64 `json:"storeHits"`
+	StoreEvictions uint64 `json:"storeEvictions"`
 
 	// Async job queue and worker pool.
 	JobsSubmitted     uint64  `json:"jobsSubmitted"`
@@ -320,21 +319,18 @@ type Stats struct {
 	ClusterRecordFetchHits  uint64 `json:"clusterRecordFetchHits,omitempty"`
 }
 
-// planEntry is one plan-cache slot; ready closes when the tuner run
-// completes, so concurrent requests for the same spec coalesce.
-type planEntry struct {
+// flight is one in-flight search; ready closes once the leader has
+// written the plan to the store (or failed), so concurrent requests for
+// the same spec coalesce onto it.
+type flight struct {
 	ready chan struct{}
 	resp  *TuneResponse
-	an    *schedule.Analyzer // calibrated analyzer, reused by /simulate
 	err   error
 }
 
-// defaultCacheCap bounds the plan cache: specs are client-controlled
-// (seq is an arbitrary int), so an unbounded map is a memory-growth
-// vector under varied or abusive traffic. Eviction is arbitrary among
-// completed entries — a re-tune on a cold spec is correct, just slower
-// (and free when the evicted plan is still in the durable store).
-const defaultCacheCap = 1024
+// maxBodyBytes bounds every request body (wrap applies it; a larger
+// body is refused with 413) and a peer's /slo reply.
+const maxBodyBytes = 4 << 20
 
 // defaultJobWorkers bounds the async pool: each tuner run already fans
 // out across GOMAXPROCS, so a narrow pool keeps batch submissions from
@@ -345,10 +341,9 @@ const defaultJobWorkers = 2
 // run a full HTTP server lifecycle with ListenAndServe. Call Close when
 // done to stop the job workers (ListenAndServe does so on shutdown).
 type Server struct {
-	mu    sync.Mutex
-	plans map[string]*planEntry
+	mu      sync.Mutex
+	flights map[string]*flight // searches still running, by key
 
-	cacheCap   int
 	store      *store.Store
 	jobs       *jobs.Manager
 	jobWorkers int
@@ -387,9 +382,8 @@ type Server struct {
 
 	tuneRequests     atomic.Uint64
 	simulateRequests atomic.Uint64
-	planCacheHits    atomic.Uint64
+	coalesced        atomic.Uint64
 	tunesRun         atomic.Uint64
-	evictions        atomic.Uint64
 	storeHits        atomic.Uint64
 	rejected429      atomic.Uint64
 
@@ -422,21 +416,11 @@ type Server struct {
 // Option configures a Server.
 type Option func(*Server)
 
-// WithStore attaches a durable plan store: tuned plans are written
-// through, and exact fingerprints are served from it without
-// re-searching.
+// WithStore sets the plan store (default: a fresh store.InMemory()):
+// tuned plans are written through, and exact fingerprints are served
+// from it without re-searching.
 func WithStore(st *store.Store) Option {
 	return func(s *Server) { s.store = st }
-}
-
-// WithCacheCap overrides the in-memory plan-cache capacity (entries;
-// values < 1 keep the default).
-func WithCacheCap(n int) Option {
-	return func(s *Server) {
-		if n >= 1 {
-			s.cacheCap = n
-		}
-	}
 }
 
 // WithJobWorkers sets the async job pool width (values < 1 keep the
@@ -484,8 +468,7 @@ func WithTrace(opt trace.Options) Option {
 // New builds a service.
 func New(opts ...Option) *Server {
 	s := &Server{
-		plans:      map[string]*planEntry{},
-		cacheCap:   defaultCacheCap,
+		flights:    map[string]*flight{},
 		jobWorkers: defaultJobWorkers,
 		metrics:    metrics.NewRegistry(),
 		rbKick:     make(chan struct{}, 1),
@@ -497,6 +480,9 @@ func New(opts ...Option) *Server {
 	// push.
 	for _, o := range opts {
 		o(s)
+	}
+	if s.store == nil {
+		s.store = store.InMemory()
 	}
 	s.limits = s.limits.withDefaults()
 	s.analyzers = newAnalyzerRegistry(maxAnalyzers)
@@ -519,7 +505,7 @@ func New(opts ...Option) *Server {
 	s.registerRuntimeGauges()
 	s.registerBuildInfoGauge()
 	s.initSLO()
-	if s.store != nil && s.cluster != nil {
+	if s.cluster != nil {
 		// Write-through replication: every locally tuned plan lands on
 		// the fingerprint's other replicas before the response returns.
 		s.store.SetOnPut(s.replicateRecord)
@@ -545,7 +531,7 @@ func (s *Server) Close() {
 	s.jobs.Close()
 }
 
-// Store exposes the attached plan store (nil without one).
+// Store exposes the plan store.
 func (s *Server) Store() *store.Store { return s.store }
 
 // Metrics exposes the request-metrics registry (the /metrics source);
@@ -556,21 +542,6 @@ func (s *Server) Metrics() *metrics.Registry { return s.metrics }
 // TraceRecorder exposes the per-node trace recorder (nil without
 // WithTrace); load harnesses audit its counters after a run.
 func (s *Server) TraceRecorder() *trace.Recorder { return s.trace }
-
-// evictOneLocked drops an arbitrary completed plan entry; in-flight
-// entries are kept so coalesced waiters stay attached. Call with mu
-// held.
-func (s *Server) evictOneLocked() {
-	for k, e := range s.plans {
-		select {
-		case <-e.ready:
-			delete(s.plans, k)
-			s.evictions.Add(1)
-			return
-		default:
-		}
-	}
-}
 
 // Handler mounts the service routes. Expensive synchronous endpoints
 // run behind their admission gates; every route is instrumented with a
@@ -602,68 +573,62 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// tuneCtx resolves a spec through the plan cache under a context,
-// running the tuner at most once per distinct spec. The returned
-// response is a private copy with Cached set for this caller. Cancellation aborts a search this
-// call started; coalesced waiters on that search then see the error and
-// the failed entry is dropped, so a later request simply retries. Only a
-// caller answered with a completed entry's response counts as a
-// plan-cache hit.
+// tuneCtx resolves a spec under a context: from the plan store when
+// it holds the fingerprint, otherwise through the fingerprint's
+// in-flight search, which the first caller starts and later callers
+// join (Cached in their copy of the reply). Cancellation aborts a search
+// this call started; joined callers then retry with a search of their
+// own, and callers of a search that failed get its error.
 func (s *Server) tuneCtx(ctx context.Context, ws WorkloadSpec) (*TuneResponse, error) {
 	w, cl, space, err := ws.normalize()
 	if err != nil {
 		return nil, &badRequestError{err}
 	}
 	key := ws.key()
+	if rec, ok := s.store.GetByKey(key); ok {
+		s.storeHits.Add(1)
+		return responseFromRecord(rec), nil
+	}
 
 	s.mu.Lock()
 	for {
-		e, ok := s.plans[key]
+		f, ok := s.flights[key]
 		if !ok {
 			break
 		}
 		s.mu.Unlock()
 		select {
-		case <-e.ready:
+		case <-f.ready:
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
-		if e.err != nil {
-			// A coalesced search killed by another caller's cancellation
-			// is not this caller's failure: the entry is already deleted,
-			// so retry with a fresh search instead of surfacing 500.
+		if f.err != nil {
+			// A search killed by another caller's cancellation is not
+			// this caller's failure: retry instead of surfacing 500.
 			if ctx.Err() == nil &&
-				(errors.Is(e.err, context.Canceled) || errors.Is(e.err, context.DeadlineExceeded)) {
+				(errors.Is(f.err, context.Canceled) || errors.Is(f.err, context.DeadlineExceeded)) {
 				s.mu.Lock()
 				continue
 			}
-			return nil, e.err
+			return nil, f.err
 		}
-		s.planCacheHits.Add(1)
-		resp := *e.resp
+		s.coalesced.Add(1)
+		resp := *f.resp
 		resp.Cached = true
 		return &resp, nil
 	}
-	e := &planEntry{ready: make(chan struct{})}
-	if len(s.plans) >= s.cacheCap {
-		s.evictOneLocked()
-	}
-	s.plans[key] = e
+	f := &flight{ready: make(chan struct{})}
+	s.flights[key] = f
 	s.mu.Unlock()
 
-	e.resp, e.an, e.err = s.runTune(ctx, ws, w, cl, space)
-	if e.err != nil {
-		// Do not cache failures: a later identical request retries.
-		s.mu.Lock()
-		delete(s.plans, key)
-		s.mu.Unlock()
-	}
-	close(e.ready)
-	if e.err != nil {
-		return nil, e.err
-	}
-	resp := *e.resp
-	return &resp, nil
+	// runTune has stored the plan before the flight is retired, so a
+	// caller arriving after the delete finds it in the store.
+	f.resp, f.err = s.runTune(ctx, ws, w, cl, space)
+	s.mu.Lock()
+	delete(s.flights, key)
+	s.mu.Unlock()
+	close(f.ready)
+	return f.resp, f.err
 }
 
 // responseFromRecord renders a stored plan record as the /tune reply
@@ -679,39 +644,39 @@ func responseFromRecord(rec store.Record) *TuneResponse {
 	}
 }
 
-// runTune answers a plan-cache miss: from the durable store when the
-// exact fingerprint was tuned by any earlier process, otherwise by a
-// fresh search whose result is then written through to the store.
-func (s *Server) runTune(ctx context.Context, ws WorkloadSpec, w plan.Workload, cl *hardware.Cluster, space core.Space) (*TuneResponse, *schedule.Analyzer, error) {
+// runTune answers a store miss as the fingerprint's in-flight leader:
+// from the store when a search finished between the caller's store
+// check and its taking the lead, from a peer that holds the record,
+// otherwise by a fresh search whose result is written to the store
+// before runTune returns.
+func (s *Server) runTune(ctx context.Context, ws WorkloadSpec, w plan.Workload, cl *hardware.Cluster, space core.Space) (*TuneResponse, error) {
 	fp := ws.fingerprint()
-	if s.store != nil {
-		// The store-check span covers the local lookup plus the peer
-		// fetch sweep; its ctx stays local so the search span that may
-		// follow is a sibling, not a child.
-		sctx, ssp := trace.StartSpan(ctx, "store-check")
-		if rec, ok := s.store.Get(fp); ok {
-			ssp.Annotate("outcome", "local-hit")
-			ssp.End()
-			s.storeHits.Add(1)
-			return responseFromRecord(rec), nil, nil
-		}
-		if s.cluster != nil {
-			// Elastic single-flight: before ever searching, ask the fleet
-			// whether someone already holds this fingerprint. During a
-			// membership transition a key's new owner sees a local miss
-			// for a record that lives at its previous replicas; a round
-			// of cheap peer lookups keeps "one search per fingerprint"
-			// true across every join/drain/kill, at a cost that is noise
-			// next to one tuner run.
-			if rec, ok := s.fetchRecordFromPeers(sctx, fp); ok {
-				ssp.Annotate("outcome", "peer-hit")
-				ssp.End()
-				return responseFromRecord(rec), nil, nil
-			}
-		}
-		ssp.Annotate("outcome", "miss")
+	// The store-check span covers the local lookup plus the peer fetch
+	// sweep; its ctx stays local so the search span that may follow is a
+	// sibling, not a child.
+	sctx, ssp := trace.StartSpan(ctx, "store-check")
+	if rec, ok := s.store.Get(fp); ok {
+		ssp.Annotate("outcome", "local-hit")
 		ssp.End()
+		s.storeHits.Add(1)
+		return responseFromRecord(rec), nil
 	}
+	if s.cluster != nil {
+		// Elastic single-flight: before ever searching, ask the fleet
+		// whether someone already holds this fingerprint. During a
+		// membership transition a key's new owner sees a local miss for a
+		// record that lives at its previous replicas; a round of cheap
+		// peer lookups keeps "one search per fingerprint" true across
+		// every join/drain/kill, at a cost that is noise next to one
+		// tuner run.
+		if rec, ok := s.fetchRecordFromPeers(sctx, fp); ok {
+			ssp.Annotate("outcome", "peer-hit")
+			ssp.End()
+			return responseFromRecord(rec), nil
+		}
+	}
+	ssp.Annotate("outcome", "miss")
+	ssp.End()
 	s.tunesRun.Add(1)
 	// The prepare span covers tuner construction (operator DB +
 	// interference fit — real milliseconds, skipped entirely when the
@@ -723,14 +688,14 @@ func (s *Server) runTune(ctx context.Context, ws WorkloadSpec, w plan.Workload, 
 	if err != nil {
 		psp.Annotate("error", err.Error())
 		psp.End()
-		return nil, nil, &badRequestError{err}
+		return nil, &badRequestError{err}
 	}
 	psp.Annotate("analyzerReused", reused)
 	tn, err := core.NewShared(w, cl, an, space)
 	if err != nil {
 		psp.Annotate("error", err.Error())
 		psp.End()
-		return nil, nil, err
+		return nil, err
 	}
 	psp.End()
 	tctx, tsp := trace.StartSpan(ctx, "search")
@@ -738,7 +703,7 @@ func (s *Server) runTune(ctx context.Context, ws WorkloadSpec, w plan.Workload, 
 	if err != nil {
 		tsp.Annotate("error", err.Error())
 		tsp.End()
-		return nil, nil, err
+		return nil, err
 	}
 	tsp.Annotate("candidates", res.Candidates)
 	tsp.Annotate("sgPairs", res.SGPairs)
@@ -756,50 +721,19 @@ func (s *Server) runTune(ctx context.Context, ws WorkloadSpec, w plan.Workload, 
 		WarmPruned:       res.WarmPruned,
 		WarmAbortedPairs: res.WarmAbortedPairs,
 	}
-	if s.store != nil {
-		// Best-effort write-through: a full disk must not fail the
-		// request — the plan is still correct and cached in memory. The
-		// request context rides into the OnPut replication hook so the
-		// replication round joins this request's trace.
-		if rec, err := s.store.PutCtx(ctx, store.Record{
-			Fingerprint:    fp,
-			Plan:           res.Plan,
-			Predicted:      res.Predicted,
-			PredThroughput: res.PredThroughput,
-		}); err == nil {
-			resp.StoreVersion = rec.Version
-		}
+	// Best-effort write-through: a full disk must not fail the request —
+	// the plan is still correct, and the next request for it searches
+	// again. The request context rides into the OnPut replication hook
+	// so the replication round joins this request's trace.
+	if rec, err := s.store.PutCtx(ctx, store.Record{
+		Fingerprint:    fp,
+		Plan:           res.Plan,
+		Predicted:      res.Predicted,
+		PredThroughput: res.PredThroughput,
+	}); err == nil {
+		resp.StoreVersion = rec.Version
 	}
-	return resp, tn.An, nil
-}
-
-// analyzerFor returns a calibrated analyzer for a spec, reusing the one
-// attached to the spec's plan-cache entry when present and falling back
-// to the analyzer registry's shared analyzer (which calibrates at most
-// once per fingerprint while the entry lives). Building one is the expensive part of
-// /simulate (operator DB + interference fit), so repeated simulation
-// traffic must not pay it per request. The wait on an in-flight entry
-// is bounded by ctx so an inline-plan /simulate honors its request
-// deadline instead of parking behind a slow search.
-func (s *Server) analyzerFor(ctx context.Context, ws WorkloadSpec, w plan.Workload, cl *hardware.Cluster, space core.Space) (*schedule.Analyzer, error) {
-	s.mu.Lock()
-	e, ok := s.plans[ws.key()]
-	s.mu.Unlock()
-	if ok {
-		select {
-		case <-e.ready:
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-		if e.err == nil && e.an != nil {
-			return e.an, nil
-		}
-	}
-	an, _, err := s.analyzers.acquire(ws, w, cl, space)
-	if err != nil {
-		return nil, &badRequestError{err}
-	}
-	return an, nil
+	return resp, nil
 }
 
 func (s *Server) handleTune(rw http.ResponseWriter, req *http.Request) {
@@ -812,7 +746,7 @@ func (s *Server) handleTune(rw http.ResponseWriter, req *http.Request) {
 	// a non-owner must replay it verbatim to the owning peer.
 	body, err := io.ReadAll(req.Body)
 	if err != nil {
-		writeError(rw, http.StatusBadRequest, fmt.Errorf("reading request: %w", err))
+		writeBodyError(rw, "reading request", err)
 		return
 	}
 	var tr TuneRequest
@@ -848,7 +782,7 @@ func (s *Server) handleSimulate(rw http.ResponseWriter, req *http.Request) {
 	s.simulateRequests.Add(1)
 	body, err := io.ReadAll(req.Body)
 	if err != nil {
-		writeError(rw, http.StatusBadRequest, fmt.Errorf("reading request: %w", err))
+		writeBodyError(rw, "reading request", err)
 		return
 	}
 	var sr SimulateRequest
@@ -861,7 +795,7 @@ func (s *Server) handleSimulate(rw http.ResponseWriter, req *http.Request) {
 		writeError(rw, http.StatusBadRequest, err)
 		return
 	}
-	// Forward to the fingerprint's owner (plan cache and calibrated
+	// Forward to the fingerprint's owner (its plan and calibrated
 	// analyzer live there), inline plan included.
 	if s.proxyKeyed(rw, req, sr.WorkloadSpec.key(), body) {
 		return
@@ -881,9 +815,11 @@ func (s *Server) handleSimulate(rw http.ResponseWriter, req *http.Request) {
 		writeError(rw, http.StatusBadRequest, fmt.Errorf("invalid plan: %w", err))
 		return
 	}
-	an, err := s.analyzerFor(req.Context(), sr.WorkloadSpec, w, cl, space)
+	// The registry calibrates once per fingerprint: repeated simulation
+	// traffic does not pay for the operator DB and interference fit.
+	an, _, err := s.analyzers.acquire(sr.WorkloadSpec, w, cl, space)
 	if err != nil {
-		writeError(rw, statusFor(err), err)
+		writeError(rw, http.StatusBadRequest, err)
 		return
 	}
 	m, err := trainsim.New(w, cl, an).Measure(p)
@@ -957,21 +893,14 @@ func (s *Server) Stats() Stats {
 // scalarStats is Stats without the HTTP fold — the cheap subset that
 // /metrics reads for its gauge lines.
 func (s *Server) scalarStats() Stats {
-	s.mu.Lock()
-	size := len(s.plans)
-	s.mu.Unlock()
 	st := Stats{
-		TuneRequests:       s.tuneRequests.Load(),
-		SimulateRequests:   s.simulateRequests.Load(),
-		PlanCacheHits:      s.planCacheHits.Load(),
-		TunesRun:           s.tunesRun.Load(),
-		PlanCacheSize:      size,
-		PlanCacheCap:       s.cacheCap,
-		PlanCacheEvictions: s.evictions.Load(),
-		StoreHits:          s.storeHits.Load(),
-	}
-	if s.store != nil {
-		st.StoreSize = s.store.Len()
+		TuneRequests:     s.tuneRequests.Load(),
+		SimulateRequests: s.simulateRequests.Load(),
+		TunesRun:         s.tunesRun.Load(),
+		TuneCoalesced:    s.coalesced.Load(),
+		StoreSize:        s.store.Len(),
+		StoreHits:        s.storeHits.Load(),
+		StoreEvictions:   s.store.Evictions(),
 	}
 	st.Analyzers, st.AnalyzerEvictions = s.analyzers.snapshot()
 	js := s.jobs.Stats()
@@ -1043,6 +972,17 @@ func writeJSON(rw http.ResponseWriter, status int, v any) {
 	rw.Header().Set("Content-Type", "application/json")
 	rw.WriteHeader(status)
 	_ = json.NewEncoder(rw).Encode(v)
+}
+
+// writeBodyError answers a failed request-body read or decode: 413 when
+// the body ran past maxBodyBytes, 400 otherwise.
+func writeBodyError(rw http.ResponseWriter, what string, err error) {
+	status := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	writeError(rw, status, fmt.Errorf("%s: %w", what, err))
 }
 
 func writeError(rw http.ResponseWriter, status int, err error) {

@@ -82,20 +82,20 @@ func TestTuneAndPlanCache(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("second /tune: status %d body %s", status, body)
 	}
-	if !second.Cached {
-		t.Error("repeated request not served from the plan cache")
+	if !second.FromStore || second.Cached {
+		t.Errorf("repeated request not answered by the plan store: fromStore %v cached %v", second.FromStore, second.Cached)
 	}
 	a, _ := json.Marshal(first.Plan)
 	b, _ := json.Marshal(second.Plan)
 	if !bytes.Equal(a, b) {
-		t.Errorf("cached plan differs:\n%s\nvs\n%s", a, b)
+		t.Errorf("stored plan differs:\n%s\nvs\n%s", a, b)
 	}
 
 	st := s.Stats()
 	if st.TunesRun != 1 {
 		t.Errorf("tuner ran %d times, want 1", st.TunesRun)
 	}
-	if st.PlanCacheHits != 1 || st.TuneRequests != 2 || st.PlanCacheSize != 1 {
+	if st.StoreHits != 1 || st.TuneRequests != 2 || st.StoreSize != 1 || st.TuneCoalesced != 0 {
 		t.Errorf("stats %+v", st)
 	}
 }
@@ -139,9 +139,91 @@ func TestConcurrentTuneRequestsCoalesce(t *testing.T) {
 	}
 }
 
-// Waiters coalesced onto a search that fails are not plan-cache hits:
+// Callers arriving at spread-out offsets across one search's
+// completion — some while it runs, some after its plan is stored — all
+// get the same plan from one search: each reply is the leader's, a
+// coalesced copy of it (Cached) or a store answer (FromStore).
+func TestStaggeredTuneArrivals(t *testing.T) {
+	spec := WorkloadSpec{Model: "gpt3-1.3b", GPUs: 4, Batch: 16, Space: "mist"}
+	// Time one cold search (calibration included) on a separate server
+	// so the arrivals can be spread across a search of the same length.
+	probe := New()
+	t0 := time.Now()
+	if _, err := probe.tuneCtx(context.Background(), spec); err != nil {
+		t.Fatal(err)
+	}
+	span := 2 * time.Since(t0)
+	probe.Close()
+
+	s := New()
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	const clients = 16
+	replies := make([]TuneResponse, clients)
+	var wg sync.WaitGroup
+	errs := make(chan error, clients)
+	for i := 0; i < clients; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			time.Sleep(span * time.Duration(i) / clients)
+			status, body := postJSON(t, ts.URL+"/tune", TuneRequest{WorkloadSpec: spec}, &replies[i])
+			if status != http.StatusOK {
+				errs <- fmt.Errorf("client %d: status %d body %s", i, status, body)
+			}
+		}(i)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	leaders, cached, stored := 0, 0, 0
+	want, _ := json.Marshal(replies[0].Plan)
+	for i, r := range replies {
+		switch {
+		case r.Cached:
+			cached++
+		case r.FromStore:
+			stored++
+		default:
+			leaders++
+		}
+		if got, _ := json.Marshal(r.Plan); !bytes.Equal(got, want) {
+			t.Errorf("client %d received a different plan", i)
+		}
+	}
+	t.Logf("%d leader, %d coalesced, %d from store over %v", leaders, cached, stored, span)
+	if leaders != 1 {
+		t.Errorf("%d replies came from a search, want 1", leaders)
+	}
+	st := s.Stats()
+	if st.TunesRun != 1 {
+		t.Errorf("tuner ran %d times, want 1", st.TunesRun)
+	}
+	if st.TuneCoalesced != uint64(cached) || st.StoreHits != uint64(stored) {
+		t.Errorf("stats coalesced %d storeHits %d, replies %d / %d", st.TuneCoalesced, st.StoreHits, cached, stored)
+	}
+
+	// A caller that missed the store just before the search retired
+	// leads with the plan already stored: its store check answers.
+	w, cl, space, err := spec.normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp, err := s.runTune(context.Background(), spec, w, cl, space); err != nil || !resp.FromStore {
+		t.Errorf("late leader: err %v, reply %+v; want a store answer", err, resp)
+	}
+	if n := s.Stats().TunesRun; n != 1 {
+		t.Errorf("late leader searched: tuner ran %d times, want 1", n)
+	}
+}
+
+// Waiters coalesced onto a search that fails are not answered by it:
 // concurrent requests for an infeasible spec all get 422, and neither
-// /stats nor /metrics counts a hit.
+// /stats nor /metrics counts a coalesced answer.
 func TestFailedCoalescedSearchIsNoCacheHit(t *testing.T) {
 	s := New()
 	defer s.Close()
@@ -170,8 +252,8 @@ func TestFailedCoalescedSearchIsNoCacheHit(t *testing.T) {
 			t.Errorf("infeasible workload: status %d, want 422", status)
 		}
 	}
-	if st := s.Stats(); st.PlanCacheHits != 0 {
-		t.Errorf("failed searches counted %d plan-cache hits", st.PlanCacheHits)
+	if st := s.Stats(); st.TuneCoalesced != 0 {
+		t.Errorf("failed searches counted %d coalesced answers", st.TuneCoalesced)
 	}
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
@@ -179,8 +261,8 @@ func TestFailedCoalescedSearchIsNoCacheHit(t *testing.T) {
 	}
 	defer resp.Body.Close()
 	data, _ := io.ReadAll(resp.Body)
-	if !strings.Contains(string(data), "\nmist_plan_cache_hits_total 0\n") {
-		t.Errorf("/metrics should report zero plan-cache hits:\n%s", data)
+	if !strings.Contains(string(data), "\nmist_tune_coalesced_total 0\n") {
+		t.Errorf("/metrics should report zero coalesced answers:\n%s", data)
 	}
 }
 
@@ -203,7 +285,7 @@ func TestSimulateTunesOnDemandAndAcceptsInlinePlan(t *testing.T) {
 	if sim.OOM {
 		t.Error("tuned plan OOMs in simulation")
 	}
-	// The on-demand tune populated the plan cache.
+	// The on-demand tune populated the plan store.
 	if st := s.Stats(); st.TunesRun != 1 || st.SimulateRequests != 1 {
 		t.Errorf("stats %+v", st)
 	}
@@ -264,8 +346,8 @@ func TestErrorPaths(t *testing.T) {
 	if status != http.StatusUnprocessableEntity {
 		t.Errorf("infeasible workload: status %d body %s", status, body)
 	}
-	if st := s.Stats(); st.PlanCacheSize != 0 {
-		t.Errorf("failed requests were cached: %+v", st)
+	if st := s.Stats(); st.StoreSize != 0 {
+		t.Errorf("failed requests were stored: %+v", st)
 	}
 
 	if status, _ := postJSON(t, ts.URL+"/simulate", SimulateRequest{WorkloadSpec: bad}, nil); status != http.StatusBadRequest {

@@ -237,7 +237,7 @@ func (s *Server) fetchPeerSLO(ctx context.Context, m cluster.Member) (slo.NodeRe
 		return slo.NodeReport{}, fmt.Errorf("peer %s /slo: %s", m.ID, resp.Status)
 	}
 	var rep slo.NodeReport
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 4<<20)).Decode(&rep); err != nil {
+	if err := json.NewDecoder(io.LimitReader(resp.Body, maxBodyBytes)).Decode(&rep); err != nil {
 		return slo.NodeReport{}, fmt.Errorf("peer %s /slo: %w", m.ID, err)
 	}
 	if rep.Node == "" {

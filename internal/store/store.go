@@ -10,6 +10,14 @@
 // with platform and space lower-cased, so wire-level spelling variants
 // collapse to one record. Records are versioned: re-putting a
 // fingerprint bumps Version and atomically replaces the document.
+//
+// The store is the serving layer's only memory of "fingerprint →
+// plan", and fingerprints are client-controlled, so it is bounded: it
+// holds at most maxRecords plans written here and at most maxRecords
+// replicas installed from peers. A write that takes its class past the
+// bound evicts that class's record with the oldest UpdatedAt (from the
+// index and from disk), and Open trims an over-full directory the same
+// way.
 package store
 
 import (
@@ -23,15 +31,27 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/model"
 	"repro/internal/plan"
 )
 
-// Fingerprint names a (workload, cluster, space) triple. It mirrors the
-// serving layer's plan-cache identity so the store and the in-memory
-// cache agree about which requests are "the same".
+// maxRecords bounds each of a store's two record classes: plans written
+// here (PutCtx, or loaded by Open) and replicas installed from peers
+// (Apply). Every distinct request spec is a fingerprint (seq is an
+// arbitrary int), so without a bound any client could grow a node's
+// memory and disk, and every replica's, without limit. The classes are
+// bounded apart so that a node's own writes never evict the copies it
+// holds for its peers, nor the reverse: a fleet stays exactly
+// R-replicated until one class on one node fills. Re-tuning an evicted
+// fingerprint is correct, just slower.
+const maxRecords = 1024
+
+// Fingerprint names a (workload, cluster, space) triple — the serving
+// layer's request identity: two requests with the same fingerprint
+// share one plan.
 type Fingerprint struct {
 	Model    string `json:"model"`
 	Platform string `json:"platform"`
@@ -91,6 +111,14 @@ type Store struct {
 	mu   sync.RWMutex
 	recs map[string]Record
 
+	// limit bounds each record class (maxRecords; tests shrink it);
+	// replicas holds the keys installed by Apply and not rewritten here
+	// since (guarded by mu), every other key is a local write. evictions
+	// counts the records dropped to stay under the bound.
+	limit     int
+	replicas  map[string]bool
+	evictions atomic.Uint64
+
 	// onPut, when set, observes every locally originated write (Put) —
 	// the cluster tier hangs its write-through replication here. The
 	// context is the writer's (PutCtx), carrying request identity and
@@ -106,20 +134,28 @@ type Store struct {
 
 // InMemory builds a store with no backing directory.
 func InMemory() *Store {
-	return &Store{recs: map[string]Record{}}
+	return &Store{recs: map[string]Record{}, replicas: map[string]bool{}, limit: maxRecords}
 }
 
 // Open loads (creating if needed) a directory-backed store. Corrupt
 // documents are skipped, not fatal: one bad file must not take down the
-// whole snapshot.
+// whole snapshot. Loaded records count as local writes (which node
+// wrote them is not persisted), so a directory holding more than
+// maxRecords plans is trimmed to the newest maxRecords.
 func Open(dir string) (*Store, error) {
+	return open(dir, maxRecords)
+}
+
+func open(dir string, limit int) (*Store, error) {
 	if dir == "" {
-		return InMemory(), nil
+		s := InMemory()
+		s.limit = limit
+		return s, nil
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: creating %s: %w", dir, err)
 	}
-	s := &Store{dir: dir, recs: map[string]Record{}}
+	s := &Store{dir: dir, recs: map[string]Record{}, replicas: map[string]bool{}, limit: limit}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("store: reading %s: %w", dir, err)
@@ -145,6 +181,9 @@ func Open(dir string) (*Store, error) {
 			s.recs[key] = rec
 		}
 	}
+	if err := s.evictOver(false); err != nil {
+		return nil, err
+	}
 	return s, nil
 }
 
@@ -153,6 +192,9 @@ func (s *Store) Dir() string { return s.dir }
 
 // LoadSkipped reports how many on-disk documents were unreadable at Open.
 func (s *Store) LoadSkipped() int { return s.loadSkipped }
+
+// Evictions reports how many records the maxRecords bound has dropped.
+func (s *Store) Evictions() uint64 { return s.evictions.Load() }
 
 // Len reports the number of indexed plans.
 func (s *Store) Len() int {
@@ -202,11 +244,18 @@ func (s *Store) GetByKey(key string) (Record, bool) {
 // record this node no longer replicates has been confirmed on every
 // current replica. Unknown fingerprints are a no-op.
 func (s *Store) Delete(f Fingerprint) error {
-	f = f.canonical()
-	key := f.Key()
 	//mistlint:ignore lockio wmu is the writer-serialization lock; it exists to order disk commits and never blocks readers
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
+	return s.remove(f)
+}
+
+// remove drops a fingerprint's record from disk (when directory-backed)
+// and then from the index. Callers hold wmu (or own the store, as Open
+// does).
+func (s *Store) remove(f Fingerprint) error {
+	f = f.canonical()
+	key := f.Key()
 	s.mu.RLock()
 	_, ok := s.recs[key]
 	s.mu.RUnlock()
@@ -220,7 +269,52 @@ func (s *Store) Delete(f Fingerprint) error {
 	}
 	s.mu.Lock()
 	delete(s.recs, key)
+	delete(s.replicas, key)
 	s.mu.Unlock()
+	return nil
+}
+
+// evictOver removes one class's oldest records (UpdatedAt, ties by key)
+// — the replicas or the local writes — until the class is back within
+// the bound. Writers call it after the incoming record is durably
+// installed, so a failed write never costs a record; a victim whose
+// document cannot be removed stays indexed, and the next write of the
+// class retries it. The hook never fires for an eviction. Callers hold
+// wmu (or own the store, as Open does).
+func (s *Store) evictOver(replica bool) error {
+	type aged struct {
+		key string
+		at  time.Time
+		fp  Fingerprint
+	}
+	s.mu.RLock()
+	n := len(s.replicas)
+	if !replica {
+		n = len(s.recs) - n
+	}
+	if n <= s.limit {
+		s.mu.RUnlock()
+		return nil
+	}
+	class := make([]aged, 0, n)
+	for k, rec := range s.recs {
+		if s.replicas[k] == replica {
+			class = append(class, aged{k, rec.UpdatedAt, rec.Fingerprint})
+		}
+	}
+	s.mu.RUnlock()
+	sort.Slice(class, func(i, j int) bool {
+		if !class[i].at.Equal(class[j].at) {
+			return class[i].at.Before(class[j].at)
+		}
+		return class[i].key < class[j].key
+	})
+	for _, v := range class[:n-s.limit] {
+		if err := s.remove(v.fp); err != nil {
+			return err
+		}
+		s.evictions.Add(1)
+	}
 	return nil
 }
 
@@ -245,6 +339,7 @@ func (s *Store) Put(rec Record) (Record, error) {
 // overwritten; the record as stored (version assigned) is returned.
 // ctx is not a cancellation point for the write itself (a plan already
 // computed is always worth persisting); it only flows to the onPut hook.
+// The record counts as a local write; one too many evicts the oldest.
 func (s *Store) PutCtx(ctx context.Context, rec Record) (Record, error) {
 	if rec.Plan == nil {
 		return Record{}, fmt.Errorf("store: refusing to store a nil plan for %s", rec.Fingerprint.Key())
@@ -267,7 +362,11 @@ func (s *Store) PutCtx(ctx context.Context, rec Record) (Record, error) {
 	}
 	s.mu.Lock()
 	s.recs[key] = rec
+	delete(s.replicas, key)
 	s.mu.Unlock()
+	// The record is stored; an eviction that fails is retried by the
+	// next write, so it does not fail this one.
+	_ = s.evictOver(false)
 	s.wmu.Unlock()
 	// The hook runs outside both locks: replication does network work
 	// and must not serialize against concurrent reads and writes.
@@ -280,7 +379,9 @@ func (s *Store) PutCtx(ctx context.Context, rec Record) (Record, error) {
 // Apply installs a record replicated from a peer, preserving the
 // incoming Version: the write happens only when the incoming version is
 // newer than the local one (false, nil otherwise), and the onPut hook
-// does not fire — replica writes never cascade.
+// does not fire — replica writes never cascade. A fingerprint new to
+// this store counts as a replica; one too many evicts the oldest
+// replica. A held fingerprint keeps its class.
 func (s *Store) Apply(rec Record) (bool, error) {
 	if rec.Plan == nil {
 		return false, fmt.Errorf("store: refusing to apply a nil plan for %s", rec.Fingerprint.Key())
@@ -307,7 +408,14 @@ func (s *Store) Apply(rec Record) (bool, error) {
 	}
 	s.mu.Lock()
 	s.recs[key] = rec
+	if !ok {
+		s.replicas[key] = true
+	}
 	s.mu.Unlock()
+	if !ok {
+		// As in PutCtx, a failed eviction is the next write's to retry.
+		_ = s.evictOver(true)
+	}
 	return true, nil
 }
 
